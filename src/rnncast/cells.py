@@ -385,7 +385,6 @@ def _lstm_backward_batch(params: LstmParams, grads: LstmParams,
         dh = da_i @ params.u_i + da_f @ params.u_f + da_o @ params.u_o + da_g @ params.u_g
         dc = dc * f
 
-    op = np.add if accumulate else np.copyto
     for dst, src in ((grads.w_i, dw_i), (grads.u_i, du_i), (grads.b_i, db_i),
                      (grads.w_f, dw_f), (grads.u_f, du_f), (grads.b_f, db_f),
                      (grads.w_o, dw_o), (grads.u_o, du_o), (grads.b_o, db_o),

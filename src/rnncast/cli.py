@@ -12,7 +12,14 @@ manifest listing every artifact it produced:
       report_lstm_f1.{csv,txt}  per-series scores + mean/sd rows
       summary.csv               all (model, horizon, series) rows in one table
       plot_<series>_<model>_f<h>.{svg,csv}
-      manifest.json
+      manifest.json             artifacts, stage timings, per-pair training time
+
+The train stage trains its (model, horizon) networks in parallel, on
+min(pairs, usable CPUs) spawned worker processes that each run BLAS on one
+thread; with one worker it trains in-process. Artifacts are byte-identical
+to a sequential run, but the progress lines of different pairs may
+interleave. A script that calls `main` must do so under the `__main__`
+check, because each worker imports the script's main module.
 
 Exit codes: 0 success, 2 usage/config/data error, 3 numeric failure during
 training.
@@ -22,8 +29,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -36,7 +45,8 @@ from .dataprep import (ParseError, PartitionSpec, Series, denormalize,
 from .evalkit import (PersistenceBaseline, SeriesResult, aggregate, evaluate,
                       report_to_csv, report_to_text)
 from .numkit import NumericError, Rng
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import (Checkpoint, TrainConfig, load_checkpoint,
+                       save_checkpoint, train)
 
 
 class ConfigError(ValueError):
@@ -147,6 +157,7 @@ class RunManifest:
     reports: dict
     plots: list
     timings_seconds: dict
+    training: dict
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -176,11 +187,12 @@ def _pair_name(model: str, horizon: int) -> str:
 
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
-        print(message)
+        print(message, flush=True)
 
 
 # ---------------------------------------------------------------------------
-# Stages. Each returns the relative paths it wrote, for the manifest.
+# Stages. Each returns what it adds to the manifest: the relative paths it
+# wrote and, for train, its per-pair timings.
 # ---------------------------------------------------------------------------
 
 def stage_generate(config: ExperimentConfig, quiet: bool) -> dict:
@@ -193,6 +205,83 @@ def stage_generate(config: ExperimentConfig, quiet: bool) -> dict:
     return {"dataset_csv": "dataset.csv"}
 
 
+def _worker_count(pairs: int) -> int:
+    """Processes to train `pairs` networks on: one per usable CPU, at most
+    one per pair."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(pairs, cpus)
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _single_blas_thread_env():
+    """Set the BLAS thread variables to 1 for the processes started inside
+    the block, so their BLAS never spawns a thread of its own; the parent's
+    environment is restored on exit. The parent's BLAS is already loaded, so
+    its own thread count does not change."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+def _train_pair(model: str, horizon: int, source: Series,
+                config: ExperimentConfig,
+                quiet: bool) -> tuple[Checkpoint, list[float], float]:
+    """Train the `model` network for `horizon` on the normalized `source`;
+    returns (checkpoint, per-epoch losses, training seconds).
+
+    Module-level so that a spawned worker can run it: it prints its own
+    progress lines unless `quiet`.
+    """
+    name = _pair_name(model, horizon)
+    spec = PartitionSpec(config.window, horizon, config.test_len)
+    dataset = make_windows(source, spec, "train")
+    _say(quiet, f"training {name} on {source.name!r} "
+                f"({len(dataset)} windows, {config.epochs} epochs)")
+    every = max(1, config.epochs // 10)
+
+    def report(epoch, loss):
+        if (epoch + 1) % every == 0:
+            _say(quiet, f"  {name} epoch {epoch + 1}/{config.epochs} "
+                        f"loss {loss:.6f}")
+
+    start = time.perf_counter()
+    checkpoint, history = train(model, dataset, config.train_config(),
+                                progress=report)
+    return checkpoint, history, time.perf_counter() - start
+
+
+def _train_in_workers(pairs: list, source: Series, config: ExperimentConfig,
+                      quiet: bool, workers: int) -> list:
+    """_train_pair's result for every pair, in order, from `workers` spawned
+    processes. Spawn, not fork: a forked child would inherit the parent's
+    BLAS thread pool and oversubscribe the CPUs."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with _single_blas_thread_env():
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+        try:
+            futures = [pool.submit(_train_pair, model, horizon, source, config, quiet)
+                       for model, horizon in pairs]
+            return [future.result() for future in futures]
+        finally:
+            # After a failed pair, start no other; running ones still finish.
+            pool.shutdown(cancel_futures=True)
+
+
 def stage_train(config: ExperimentConfig, quiet: bool) -> dict:
     series = generate_series(config)
     if config.train_series_index >= len(series):
@@ -203,36 +292,32 @@ def stage_train(config: ExperimentConfig, quiet: bool) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     source = _normalized(config, series[config.train_series_index])
 
+    pairs = [(model, horizon) for model in config.models if model != "baseline"
+             for horizon in config.horizons]  # baseline: nothing to fit
+    workers = _worker_count(len(pairs))
+    if workers > 1:
+        results = _train_in_workers(pairs, source, config, quiet, workers)
+    else:
+        results = [_train_pair(model, horizon, source, config, quiet)
+                   for model, horizon in pairs]
+
     checkpoints = {}
     losses = {}
-    for model in config.models:
-        if model == "baseline":
-            continue  # nothing to fit
-        for horizon in config.horizons:
-            name = _pair_name(model, horizon)
-            spec = PartitionSpec(config.window, horizon, config.test_len)
-            dataset = make_windows(source, spec, "train")
-            _say(quiet, f"training {name} on {source.name!r} "
-                        f"({len(dataset)} windows, {config.epochs} epochs)")
-            every = max(1, config.epochs // 10)
-
-            def report(epoch, loss):
-                if not quiet and (epoch + 1) % every == 0:
-                    print(f"  {name} epoch {epoch + 1}/{config.epochs} "
-                          f"loss {loss:.6f}")
-
-            checkpoint, history = train(model, dataset, config.train_config(),
-                                        progress=report)
-            cp_path = out / f"{name}.tsfc"
-            save_checkpoint(checkpoint, cp_path)
-            loss_path = out / f"loss_{name}.csv"
-            with open(loss_path, "w", encoding="utf-8") as fh:
-                fh.write("epoch,loss\n")
-                for e, loss in enumerate(history, start=1):
-                    fh.write(f"{e},{loss!r}\n")
-            checkpoints[name] = cp_path.name
-            losses[name] = loss_path.name
-    return {"checkpoints": checkpoints, "loss_histories": losses}
+    seconds = {}
+    for (model, horizon), (checkpoint, history, train_s) in zip(pairs, results):
+        name = _pair_name(model, horizon)
+        cp_path = out / f"{name}.tsfc"
+        save_checkpoint(checkpoint, cp_path)
+        loss_path = out / f"loss_{name}.csv"
+        with open(loss_path, "w", encoding="utf-8") as fh:
+            fh.write("epoch,loss\n")
+            for e, loss in enumerate(history, start=1):
+                fh.write(f"{e},{loss!r}\n")
+        checkpoints[name] = cp_path.name
+        losses[name] = loss_path.name
+        seconds[name] = round(train_s, 3)
+    return {"checkpoints": checkpoints, "loss_histories": losses,
+            "training": {"workers": workers, "train_seconds": seconds}}
 
 
 def _forecaster_for(config: ExperimentConfig, model: str, horizon: int):
@@ -372,8 +457,10 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
         t0 = time.perf_counter()
         try:
             artifacts.update(stage(config, quiet))
-        except (ConfigError, ValueError, OSError) as exc:
-            raise type(exc)(f"{name} stage failed: {exc}") from exc
+        except (ValueError, OSError) as exc:
+            # One type for every data error: some, such as
+            # UnicodeDecodeError, cannot be rebuilt from a message.
+            raise ConfigError(f"{name} stage failed: {exc}") from exc
         except NumericError as exc:
             raise NumericError(f"{name} stage failed: {exc}") from exc
         timings[name] = round(time.perf_counter() - t0, 3)
@@ -390,6 +477,7 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
         reports=artifacts.get("reports", {}),
         plots=artifacts.get("plots", []),
         timings_seconds=timings,
+        training=artifacts.get("training", {}),
     )
     (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     _say(quiet, f"run complete in {timings['total']:.1f}s; manifest at "

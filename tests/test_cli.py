@@ -5,13 +5,14 @@ evaluate/plot/manifest tests inspect, so the pipeline only trains once.
 """
 
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rnncast import __version__
+from rnncast import __version__, cli
 from rnncast.cli import (ConfigError, ExperimentConfig, _config_from_args,
                          build_parser, main)
 from rnncast.dataprep import PartitionSpec, Series, load_csv, normalize, save_csv
@@ -135,6 +136,13 @@ class TestTrain:
                    "--out", str(tmp_path), "--quiet"])
         assert rc == 3
 
+    def test_divergence_in_worker_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_worker_count", lambda pairs: pairs)
+        rc = main(["train", *DESK_FLAGS, "--learning-rate", "1e200",
+                   "--models", "lstm,gru", "--horizons", "1",
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == 3
+
 
 class TestEvaluate:
     def test_reports_written_per_pair(self, run_dir):
@@ -255,6 +263,30 @@ class TestRun:
                 continue  # contains out_dir and wall-clock timings
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_worker_pool_matches_in_process_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        env_before = dict(os.environ)
+        outs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_worker_count",
+                                lambda pairs, n=workers: min(pairs, n))
+            outs[workers] = tmp_path / f"w{workers}"
+            assert main(["run", *DESK_FLAGS, "--out", str(outs[workers]),
+                         "--quiet"]) == 0
+            assert dict(os.environ) == env_before
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == sorted(p.name for p in outs[2].iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+        for workers, out in outs.items():
+            training = json.loads((out / "manifest.json").read_text())["training"]
+            assert training["workers"] == workers
+            assert sorted(training["train_seconds"]) == [
+                "gru_f1", "gru_f3", "lstm_f1", "lstm_f3"]
+            assert all(s > 0 for s in training["train_seconds"].values())
+
     def test_evaluate_after_train_reuses_checkpoints(self, run_dir, tmp_path):
         # Re-running evaluate alone against the same out dir must succeed
         # using the checkpoints already on disk.
@@ -276,6 +308,16 @@ class TestMainEntry:
         bad.write_text("{not json")
         assert main(["train", "--config", str(bad), "--quiet"]) == 2
         assert "JSON" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_2_with_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("caf\u00e9,b\n1.0,2.0\n3.0,4.0\n".encode("latin-1"))
+        rc = main(["run", "--data", str(data), "--out", str(tmp_path / "out"),
+                   "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generate stage failed: ")
+        assert err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
