@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``numkit``   : float64 matrix kernel + SplitMix64 RNG
+- ``numkit``   : error types + SplitMix64 RNG
 - ``cells``    : LSTM/GRU forward passes, hand-derived BPTT, dense head
 - ``training`` : MSE loss, Adam, the training loop, checkpoint files
 - ``dataprep`` : normalization, windowing, synthetic generators, CSV I/O

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from . import numkit
 from .numkit import NumericError, Rng, ShapeError
 
 CELL_KINDS = ("lstm", "gru")
@@ -139,6 +138,15 @@ def init_dense(units: int, horizon: int, rng: Rng) -> DenseParams:
     return DenseParams(rng.uniform(-scale, scale, horizon, units), np.zeros(horizon))
 
 
+def tensor_shapes(kind: str, units: int, horizon: int) -> dict[str, tuple]:
+    """Name -> shape of every tensor of a `kind` model, cell then head."""
+    params = LstmParams if kind == "lstm" else GruParams
+    shapes = {name: (units, units) if name.startswith("u_") else (units,)
+              for name in params.__dataclass_fields__}
+    shapes.update(w_out=(horizon, units), b_out=(horizon,))
+    return shapes
+
+
 @dataclass
 class ModelState:
     """One recurrent cell plus head, with gradient buffers mirroring every shape."""
@@ -155,6 +163,21 @@ class ModelState:
     def __post_init__(self):
         if self.kind not in CELL_KINDS:
             raise ValueError(f"unknown cell kind {self.kind!r}, expected one of {CELL_KINDS}")
+        if min(self.units, self.window, self.horizon) < 1:
+            raise ValueError(
+                f"units, window, horizon must be positive, got {self.units}, "
+                f"{self.window}, {self.horizon}")
+        expected = tensor_shapes(self.kind, self.units, self.horizon)
+        tensors = self.tensors()
+        if tensors.keys() != expected.keys():
+            raise ShapeError(
+                f"{self.kind} model needs tensors {sorted(expected)}, got {sorted(tensors)}")
+        for name, shape in expected.items():
+            if tensors[name].shape != shape:
+                raise ShapeError(
+                    f"tensor {name!r} has shape {tensors[name].shape}, expected "
+                    f"{shape} for a {self.kind} with units={self.units}, "
+                    f"horizon={self.horizon}")
         if self.cell_grads is None:
             self.cell_grads = _zeros_like_params(self.cell)
         if self.head_grads is None:
@@ -249,7 +272,7 @@ def dense_forward(head: DenseParams, hidden) -> np.ndarray:
     if h.ndim != 1 or h.shape[0] != head.weight.shape[1]:
         raise ShapeError(
             f"dense_forward: expected hidden of shape ({head.weight.shape[1]},), got {h.shape}")
-    out = numkit.matmul(head.weight, h[:, None]).ravel() + head.bias
+    out = head.weight @ h + head.bias
     if not np.isfinite(out).all():
         raise NumericError("dense_forward: non-finite output")
     return out

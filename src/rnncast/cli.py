@@ -2,8 +2,8 @@
 
 One experiment = one JSON config (every field of ExperimentConfig, same
 names). CLI flags override config fields; a missing config file just means
-all defaults. The `run` subcommand chains the four stages and writes a
-manifest listing every artifact it produced:
+all defaults. The `run` subcommand chains the stages and writes a manifest
+listing every artifact it produced:
 
     out/
       dataset.csv               the data actually used (wide CSV)
@@ -14,12 +14,21 @@ manifest listing every artifact it produced:
       plot_<series>_<model>_f<h>.{svg,csv}
       manifest.json             artifacts, stage timings, per-pair training time
 
+Every command builds its dataset once: `generate_series` reads the CSV or
+runs the generator, and each series is normalized once for all stages.
+`run` scores and plots in one pass: each (model, horizon) checkpoint is
+loaded once, and each series' forecast set feeds both its score row and
+its plot files, so its manifest times evaluate and plot as one stage.
+
 The train stage trains its (model, horizon) networks in parallel, on
 min(pairs, usable CPUs) spawned worker processes that each run BLAS on one
 thread; with one worker it trains in-process. Artifacts are byte-identical
 to a sequential run, but the progress lines of different pairs may
 interleave. A script that calls `main` must do so under the `__main__`
 check, because each worker imports the script's main module.
+
+`generate` maps its flags to generator parameters through GENERATOR_FLAGS;
+a flag whose parameter the chosen generator does not take is an error.
 
 Exit codes: 0 success, 2 usage/config/data error, 3 numeric failure during
 training.
@@ -42,8 +51,8 @@ from . import __version__, svgchart
 from .dataprep import (ParseError, PartitionSpec, Series, denormalize,
                        gen_activities, gen_random_walk, load_csv, make_windows,
                        normalize, save_csv)
-from .evalkit import (PersistenceBaseline, SeriesResult, aggregate, evaluate,
-                      report_to_csv, report_to_text)
+from .evalkit import (ForecastSet, PersistenceBaseline, SeriesResult, aggregate,
+                      evaluate, report_to_csv, report_to_text)
 from .numkit import NumericError, Rng
 from .training import (Checkpoint, TrainConfig, load_checkpoint,
                        save_checkpoint, train)
@@ -59,6 +68,12 @@ GENERATOR_PARAMS = {
                    "low_level", "noise_sd", "amplitude_jitter"),
     "random-walk": ("n_series", "length", "start", "step_sd"),
 }
+# Command-line flag (argparse dest) -> the generator parameter it sets.
+GENERATOR_FLAGS = {"series": "n_series", "length": "length",
+                   "samples_per_day": "samples_per_day", "high": "high_level",
+                   "low": "low_level", "noise_sd": "noise_sd",
+                   "jitter": "amplitude_jitter", "start": "start",
+                   "step_sd": "step_sd"}
 
 
 @dataclass
@@ -176,9 +191,12 @@ def generate_series(config: ExperimentConfig) -> list[Series]:
     return gen_random_walk(rng, **spec)
 
 
-def _normalized(config: ExperimentConfig, series: Series) -> Series:
-    fit_len = len(series) - config.test_len if config.fit_bounds_on_train else None
-    return normalize(series, fit_len=fit_len, degenerate_to_half=True)
+def _load(config: ExperimentConfig) -> tuple[list[Series], list[Series]]:
+    """The configured series, raw and normalized: a command's one data pass."""
+    series = generate_series(config)
+    fit = config.fit_bounds_on_train
+    return series, [normalize(s, fit_len=len(s) - config.test_len if fit else None,
+                              degenerate_to_half=True) for s in series]
 
 
 def _pair_name(model: str, horizon: int) -> str:
@@ -191,14 +209,14 @@ def _say(quiet: bool, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Stages. Each returns what it adds to the manifest: the relative paths it
-# wrote and, for train, its per-pair timings.
+# Stages. Each takes the series it needs, raw and/or normalized, and returns
+# what it adds to the manifest: the relative paths it wrote and, for train,
+# its per-pair timings.
 # ---------------------------------------------------------------------------
 
-def stage_generate(config: ExperimentConfig, quiet: bool) -> dict:
+def stage_generate(config: ExperimentConfig, series: list[Series], quiet: bool) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = generate_series(config)
     path = out / "dataset.csv"
     save_csv(path, series)
     _say(quiet, f"wrote {len(series)} series x {len(series[0])} samples to {path}")
@@ -282,15 +300,14 @@ def _train_in_workers(pairs: list, source: Series, config: ExperimentConfig,
             pool.shutdown(cancel_futures=True)
 
 
-def stage_train(config: ExperimentConfig, quiet: bool) -> dict:
-    series = generate_series(config)
-    if config.train_series_index >= len(series):
+def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool) -> dict:
+    if config.train_series_index >= len(sources):
         raise ConfigError(
             f"train_series_index {config.train_series_index} out of range: "
-            f"dataset has {len(series)} series")
+            f"dataset has {len(sources)} series")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    source = _normalized(config, series[config.train_series_index])
+    source = sources[config.train_series_index]
 
     pairs = [(model, horizon) for model in config.models if model != "baseline"
              for horizon in config.horizons]  # baseline: nothing to fit
@@ -341,59 +358,74 @@ def _forecaster_for(config: ExperimentConfig, model: str, horizon: int):
     return checkpoint.model
 
 
-def stage_evaluate(config: ExperimentConfig, quiet: bool) -> dict:
-    series = generate_series(config)
+def _forecast_pass(config: ExperimentConfig, series: list[Series],
+                   sources: list[Series], quiet: bool, write_reports: bool,
+                   write_plots: bool) -> dict:
+    """Forecast every series with every (model, horizon) forecaster: each
+    forecaster is loaded once and each series forecast once. The forecast
+    set gives the series' score row and, with `write_plots`, its chart; it
+    is then dropped, so one set is held at a time.
+
+    Scores are in the configured report units; a pass that writes no
+    reports forecasts in normalized units.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    normalized_flag = config.report_units == "normalized"
-
+    raw_units = write_reports and config.report_units == "raw"
     reports = {}
-    summary_rows = []
+    tables = []  # one EvalReport per pair, for summary.csv
+    plots = []
     for model in config.models:
         for horizon in config.horizons:
-            name = _pair_name(model, horizon)
             forecaster = _forecaster_for(config, model, horizon)
             spec = PartitionSpec(config.window, horizon, config.test_len)
             rows = []
-            for s in series:
-                _, r, d = evaluate(forecaster, _normalized(config, s), spec,
-                                   normalized=normalized_flag)
-                rows.append(SeriesResult(s.name, r, d))
-                summary_rows.append((model, horizon, s.name, r, d))
-            report = aggregate(rows, model=model, horizon=horizon)
-            summary_rows.append((model, horizon, "mean", report.mean_rmse,
-                                 report.mean_da))
-            summary_rows.append((model, horizon, "sd", report.sd_rmse,
-                                 report.sd_da))
-            csv_path = out / f"report_{name}.csv"
-            txt_path = out / f"report_{name}.txt"
-            csv_path.write_text(report_to_csv(report), encoding="utf-8")
-            txt_path.write_text(report_to_text(report), encoding="utf-8")
-            reports[name] = [csv_path.name, txt_path.name]
-            _say(quiet, f"{name}: mean RMSE {report.mean_rmse:.6f} "
-                        f"(sd {report.sd_rmse:.6f}), mean DA {report.mean_da:.4f} "
-                        f"(sd {report.sd_da:.4f})")
+            for raw, source in zip(series, sources):
+                forecasts, r, d = evaluate(forecaster, source, spec,
+                                           normalized=not raw_units)
+                rows.append(SeriesResult(raw.name, r, d))
+                if write_plots:
+                    plots += _plot_one(config, raw, source, forecasts, raw_units,
+                                       model, horizon, out)
+            if write_reports:
+                report = aggregate(rows, model=model, horizon=horizon)
+                tables.append(report)
+                name = _pair_name(model, horizon)
+                reports[name] = [f"report_{name}.csv", f"report_{name}.txt"]
+                (out / reports[name][0]).write_text(report_to_csv(report), encoding="utf-8")
+                (out / reports[name][1]).write_text(report_to_text(report), encoding="utf-8")
+                _say(quiet, f"{name}: mean RMSE {report.mean_rmse:.6f} "
+                            f"(sd {report.sd_rmse:.6f}), mean DA {report.mean_da:.4f} "
+                            f"(sd {report.sd_da:.4f})")
 
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("model,horizon,series,rmse,da\n")
-        for model, horizon, sname, r, d in summary_rows:
-            fh.write(f"{model},{horizon},{sname},{r!r},{d!r}\n")
-    reports["summary"] = [summary_path.name]
-    return {"reports": reports}
+    artifacts = {}
+    if write_reports:
+        summary_path = out / "summary.csv"
+        with open(summary_path, "w", encoding="utf-8") as fh:
+            fh.write("model,horizon,series,rmse,da\n")
+            for t in tables:
+                for sname, r, d in [*((row.name, row.rmse, row.da) for row in t.rows),
+                                    ("mean", t.mean_rmse, t.mean_da),
+                                    ("sd", t.sd_rmse, t.sd_da)]:
+                    fh.write(f"{t.model},{t.horizon},{sname},{r!r},{d!r}\n")
+        reports["summary"] = [summary_path.name]
+        artifacts["reports"] = reports
+    if write_plots:
+        _say(quiet, f"wrote {len(plots)} plot files to {out}")
+        artifacts["plots"] = plots
+    return artifacts
 
 
-def _plot_one(config: ExperimentConfig, series: Series, model: str,
+def _plot_one(config: ExperimentConfig, series: Series, source: Series,
+              forecasts: ForecastSet, raw_units: bool, model: str,
               horizon: int, out: Path) -> list[str]:
-    forecaster = _forecaster_for(config, model, horizon)
-    spec = PartitionSpec(config.window, horizon, config.test_len)
-    source = _normalized(config, series)
-    forecasts, _, _ = evaluate(forecaster, source, spec, normalized=True)
-
+    """Chart `forecasts`, made from `source` (the normalized `series`) and
+    in raw units if `raw_units`, against the actual test values."""
     # Plot in raw units when the series has a real range, else as-is.
-    if source.raw_max is not None and source.raw_max > source.raw_min:
+    if source.raw_max > source.raw_min:
         bounds = (source.raw_min, source.raw_max)
-        predicted = denormalize(forecasts.predicted, bounds)
+        predicted = (forecasts.predicted if raw_units
+                     else denormalize(forecasts.predicted, bounds))
         actual_all = series.values
     else:
         predicted = forecasts.predicted
@@ -433,17 +465,34 @@ def _plot_one(config: ExperimentConfig, series: Series, model: str,
     return [f"{base}.svg", f"{base}.csv"]
 
 
-def stage_plot(config: ExperimentConfig, quiet: bool) -> dict:
-    series = generate_series(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    plots = []
-    for model in config.models:
-        for horizon in config.horizons:
-            for s in series:
-                plots.extend(_plot_one(config, s, model, horizon, out))
-    _say(quiet, f"wrote {len(plots)} plot files to {out}")
-    return {"plots": plots}
+def stage_evaluate(config: ExperimentConfig, series: list[Series],
+                   sources: list[Series], quiet: bool, plot: bool = False) -> dict:
+    """Score every (model, horizon) pair on every series and write the
+    reports; with `plot`, chart each forecast too, from the same pass."""
+    return _forecast_pass(config, series, sources, quiet, write_reports=True,
+                          write_plots=plot)
+
+
+def stage_plot(config: ExperimentConfig, series: list[Series],
+               sources: list[Series], quiet: bool) -> dict:
+    """Chart every (model, horizon) pair's forecast of every series."""
+    return _forecast_pass(config, series, sources, quiet, write_reports=False,
+                          write_plots=True)
+
+
+@contextmanager
+def _run_stage(name: str, timings: dict):
+    """Time one stage of `run` into `timings`, naming the stage in any error."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        # One type for every data error: some, such as
+        # UnicodeDecodeError, cannot be rebuilt from a message.
+        raise ConfigError(f"{name} stage failed: {exc}") from exc
+    except NumericError as exc:
+        raise NumericError(f"{name} stage failed: {exc}") from exc
+    timings[name] = round(time.perf_counter() - t0, 3)
 
 
 def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
@@ -452,18 +501,13 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
     timings = {}
     artifacts = {}
     t_total = time.perf_counter()
-    for name, stage in (("generate", stage_generate), ("train", stage_train),
-                        ("evaluate", stage_evaluate), ("plot", stage_plot)):
-        t0 = time.perf_counter()
-        try:
-            artifacts.update(stage(config, quiet))
-        except (ValueError, OSError) as exc:
-            # One type for every data error: some, such as
-            # UnicodeDecodeError, cannot be rebuilt from a message.
-            raise ConfigError(f"{name} stage failed: {exc}") from exc
-        except NumericError as exc:
-            raise NumericError(f"{name} stage failed: {exc}") from exc
-        timings[name] = round(time.perf_counter() - t0, 3)
+    with _run_stage("generate", timings):
+        series, sources = _load(config)
+        artifacts.update(stage_generate(config, series, quiet))
+    with _run_stage("train", timings):
+        artifacts.update(stage_train(config, sources, quiet))
+    with _run_stage("evaluate", timings):  # plots too
+        artifacts.update(stage_evaluate(config, series, sources, quiet, plot=True))
     timings["total"] = round(time.perf_counter() - t_total, 3)
 
     manifest = RunManifest(
@@ -584,13 +628,7 @@ def _config_from_args(args) -> ExperimentConfig:
             config.dataset["date_column"] = True
     elif args.dataset is not None:
         config.dataset = {"kind": args.dataset}
-    if config.dataset.get("kind") in GENERATOR_PARAMS:
-        if args.length is not None:
-            config.dataset["length"] = args.length
-        if args.series is not None:
-            config.dataset["n_series"] = args.series
-    elif args.length is not None or args.series is not None:
-        raise ConfigError("--length/--series only apply to generated datasets")
+    config.dataset.update(_generator_params(args, config.dataset["kind"]))
 
     simple = {"seed": "seed", "out": "out_dir", "window": "window",
               "horizons": "horizons", "test_len": "test_len", "models": "models",
@@ -611,27 +649,25 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
-def _run_generate(args) -> int:
+def _generator_params(args, kind: str) -> dict:
+    """The generator parameters that the GENERATOR_FLAGS among `args` set;
+    a flag the `kind` data source does not take is an error."""
     params = {}
-    if args.series is not None:
-        params["n_series"] = args.series
-    if args.length is not None:
-        params["length"] = args.length
-    rng = Rng(args.seed)
-    if args.kind == "activities":
-        for arg_name, param in (("samples_per_day", "samples_per_day"),
-                                ("high", "high_level"), ("low", "low_level"),
-                                ("noise_sd", "noise_sd"), ("jitter", "amplitude_jitter")):
-            value = getattr(args, arg_name)
-            if value is not None:
-                params[param] = value
-        series = gen_activities(rng, **params)
-    else:
-        if args.start is not None:
-            params["start"] = args.start
-        if args.step_sd is not None:
-            params["step_sd"] = args.step_sd
-        series = gen_random_walk(rng, **params)
+    for flag, param in GENERATOR_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if param not in GENERATOR_PARAMS.get(kind, ()):
+            raise ConfigError(f"--{flag.replace('_', '-')} does not apply to {kind} data")
+        params[param] = value
+    return params
+
+
+def _run_generate(args) -> int:
+    config = ExperimentConfig(
+        dataset={"kind": args.kind, **_generator_params(args, args.kind)},
+        seed=args.seed)
+    series = generate_series(config)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -651,9 +687,16 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return _run_generate(args)
         config = _config_from_args(args)
-        stage = {"train": stage_train, "evaluate": stage_evaluate,
-                 "plot": stage_plot, "run": stage_run}[args.command]
-        stage(config, args.quiet)
+        if args.command == "run":
+            stage_run(config, args.quiet)
+            return 0
+        series, sources = _load(config)
+        if args.command == "train":
+            stage_train(config, sources, args.quiet)
+        elif args.command == "evaluate":
+            stage_evaluate(config, series, sources, args.quiet)
+        else:
+            stage_plot(config, series, sources, args.quiet)
         return 0
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,15 +125,6 @@ def denormalize(values, bounds: tuple[float, float]) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) * (hi - lo) + lo
 
 
-def denormalize_series(series: Series, bounds: tuple[float, float] | None = None) -> Series:
-    """Map a normalized Series back to raw units using its recorded bounds."""
-    if bounds is None:
-        if series.raw_min is None or series.raw_max is None:
-            raise ValueError(f"series {series.name!r} has no recorded bounds")
-        bounds = (series.raw_min, series.raw_max)
-    return Series(series.name, denormalize(series.values, bounds))
-
-
 def make_windows(series: Series, spec: PartitionSpec, region: str) -> WindowedDataset:
     """Slice a series into stride-1 (window, target) pairs for one region."""
     if region not in ("train", "test"):

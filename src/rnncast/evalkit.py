@@ -84,16 +84,6 @@ class PersistenceBaseline:
         return np.repeat(xs[:, -1:], self.horizon, axis=1)
 
 
-def baseline_forecast(window, horizon: int) -> np.ndarray:
-    """The persistence forecast for one window: its last value, repeated."""
-    xs = np.asarray(window, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape[0] < 1:
-        raise ValueError(f"window must be a non-empty 1-D sequence, got shape {xs.shape}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return np.full(horizon, xs[-1])
-
-
 def rmse(forecasts: ForecastSet) -> float:
     """Root of the mean squared error over every (origin, step) pair."""
     if len(forecasts) == 0:

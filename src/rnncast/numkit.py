@@ -1,9 +1,9 @@
-"""Dense float64 matrix kernel and seeded RNG.
+"""The package's error types and its seeded RNG.
 
-All public operations work on 2-D C-contiguous float64 arrays, check shapes
-exactly (no broadcasting), and refuse to let NaN/Inf escape. The RNG is
-SplitMix64, so streams are reproducible bit-for-bit from a 64-bit seed on
-any platform.
+ShapeError and NumericError are what the other modules raise for operands
+of the wrong shape and for results that leave the finite float64 range. The
+RNG is SplitMix64, so streams are reproducible bit-for-bit from a 64-bit
+seed on any platform.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
-
-Matrix = np.ndarray
 
 _U64_MASK = (1 << 64) - 1
 
@@ -24,98 +21,6 @@ class ShapeError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numeric result left the finite float64 range."""
-
-
-def matrix(data) -> Matrix:
-    """Build a 2-D float64 matrix from nested sequences, validating finiteness."""
-    out = np.array(data, dtype=np.float64, order="C")
-    if out.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    _require_finite(out, "matrix")
-    return out
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    return np.zeros((rows, cols), dtype=np.float64)
-
-
-def _require_2d(a: Matrix, op: str) -> None:
-    if not isinstance(a, np.ndarray) or a.ndim != 2:
-        raise ShapeError(f"{op}: operand must be a 2-D matrix")
-
-
-def _require_same_shape(a: Matrix, b: Matrix, op: str) -> None:
-    _require_2d(a, op)
-    _require_2d(b, op)
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def _require_finite(a: np.ndarray, op: str) -> None:
-    if not np.isfinite(a).all():
-        raise NumericError(f"{op}: non-finite value in result")
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with sequential per-element accumulation.
-
-    einsum keeps the summation order identical to the naive triple loop, so
-    results are reproducible down to the last ulp regardless of the BLAS
-    the interpreter was built against.
-    """
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    out = np.einsum("ik,kj->ij", a, b)
-    _require_finite(out, "matmul")
-    return out
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_shape(a, b, "add")
-    out = a + b
-    _require_finite(out, "add")
-    return out
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_shape(a, b, "sub")
-    out = a - b
-    _require_finite(out, "sub")
-    return out
-
-
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    """Hadamard (elementwise) product."""
-    _require_same_shape(a, b, "mul")
-    out = a * b
-    _require_finite(out, "mul")
-    return out
-
-
-def sigmoid(a: Matrix) -> Matrix:
-    """Logistic function 1 / (1 + exp(-x)), overflow-safe for any finite input."""
-    _require_2d(a, "sigmoid")
-    out = expit(a)
-    _require_finite(out, "sigmoid")
-    return out
-
-
-def tanh(a: Matrix) -> Matrix:
-    _require_2d(a, "tanh")
-    out = np.tanh(a)
-    _require_finite(out, "tanh")
-    return out
-
-
-def one_minus(a: Matrix) -> Matrix:
-    _require_2d(a, "one_minus")
-    out = 1.0 - a
-    _require_finite(out, "one_minus")
-    return out
 
 
 class Rng:
@@ -144,7 +49,7 @@ class Rng:
             raise ValueError(f"uniform: need lo < hi, got [{lo}, {hi})")
         return lo + (hi - lo) * self.next_float()
 
-    def uniform(self, lo: float, hi: float, rows: int, cols: int) -> Matrix:
+    def uniform(self, lo: float, hi: float, rows: int, cols: int) -> np.ndarray:
         """Matrix of i.i.d. uniform draws in [lo, hi), row-major fill order."""
         if not lo < hi:
             raise ValueError(f"uniform: need lo < hi, got [{lo}, {hi})")

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cells import (DenseParams, GruParams, LstmParams, ModelState,
-                    backward_batch, init_model)
+                    backward_batch, init_model, tensor_shapes)
 from .dataprep import WindowedDataset
 from .numkit import NumericError, Rng, ShapeError
 
@@ -291,16 +291,19 @@ def load_checkpoint(path) -> Checkpoint:
         if fh.read(1):
             raise CheckpointCorruptError("trailing bytes after checkpoint payload")
 
+    names = tensor_shapes(kind, units, horizon).keys()
+    if tensors.keys() != names:
+        raise CheckpointCorruptError(
+            f"{kind} checkpoint has unexpected tensors {sorted(tensors.keys() - names)} "
+            f"and lacks {sorted(names - tensors.keys())}")
+    params = LstmParams if kind == "lstm" else GruParams
+    cell = params(**{f: tensors[f] for f in params.__dataclass_fields__})
+    head = DenseParams(weight=tensors["w_out"], bias=tensors["b_out"])
     try:
-        if kind == "lstm":
-            cell = LstmParams(**{f: tensors[f] for f in LstmParams.__dataclass_fields__})
-        else:
-            cell = GruParams(**{f: tensors[f] for f in GruParams.__dataclass_fields__})
-        head = DenseParams(weight=tensors["w_out"], bias=tensors["b_out"])
-    except KeyError as exc:
-        raise CheckpointCorruptError(f"missing tensor {exc}") from exc
-    model = ModelState(kind=kind, cell=cell, head=head,
-                       units=units, window=window, horizon=horizon)
+        model = ModelState(kind=kind, cell=cell, head=head,
+                           units=units, window=window, horizon=horizon)
+    except ValueError as exc:
+        raise CheckpointCorruptError(f"checkpoint contradicts its header: {exc}") from exc
     return Checkpoint(model=model,
                       raw_min=raw_min if has_bounds else None,
                       raw_max=raw_max if has_bounds else None,

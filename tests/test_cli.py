@@ -13,11 +13,14 @@ import numpy.testing as npt
 import pytest
 
 from rnncast import __version__, cli
+from rnncast.cells import ModelState, init_model
 from rnncast.cli import (ConfigError, ExperimentConfig, _config_from_args,
                          build_parser, main)
-from rnncast.dataprep import PartitionSpec, Series, load_csv, normalize, save_csv
+from rnncast.dataprep import (PartitionSpec, Series, gen_random_walk, load_csv,
+                              normalize, save_csv)
 from rnncast.evalkit import evaluate
-from rnncast.training import load_checkpoint
+from rnncast.numkit import Rng
+from rnncast.training import Checkpoint, load_checkpoint, save_checkpoint
 
 DESK_FLAGS = ["--dataset", "activities", "--length", "320", "--series", "3",
               "--window", "10", "--horizons", "1,3", "--test-len", "50",
@@ -106,6 +109,20 @@ class TestGenerate:
         assert len(series) == 10
         assert all(len(s) == 120 for s in series)
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "activities", "--start", "5"],
+        ["generate", "random-walk", "--jitter", "0.1"],
+        ["run", "--data", "x.csv", "--length", "64"],
+    ])
+    def test_flag_for_another_data_source_exits_2(self, tmp_path, capsys, argv):
+        flag = argv[-2]
+        rc = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} does not apply to ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_path_exits_2(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("not a directory")
@@ -170,6 +187,22 @@ class TestEvaluate:
         rc = main(args)
         assert rc == 2
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tensor", ["u_z", "w_extra"])
+    def test_checkpoint_contradicting_header_exits_2(self, tmp_path, capsys, tensor):
+        model = init_model("gru", 4, 10, 1, Rng(0))
+        if tensor == "u_z":
+            model.cell.u_z = np.zeros((3, 3))  # header says units=4
+        else:
+            tensors = model.tensors()
+            model.tensors = lambda: {**tensors, tensor: np.zeros(4)}
+        save_checkpoint(Checkpoint(model, None, None, {}), tmp_path / "gru_f1.tsfc")
+        rc = main(["evaluate", *DESK_FLAGS, "--models", "gru", "--horizons", "1",
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{tensor}'" in err
+        assert err.count("\n") == 1
 
     def test_baseline_on_constant_dataset_scores_perfectly(self, tmp_path):
         data = tmp_path / "flat.csv"
@@ -250,18 +283,52 @@ class TestRun:
         assert on_disk == listed
 
     def test_rerun_is_byte_identical_except_manifest(self, tmp_path):
-        flags = ["--dataset", "random-walk", "--length", "200", "--series", "2",
-                 "--window", "8", "--horizons", "1", "--test-len", "40",
-                 "--epochs", "3", "--units", "4", "--seed", "5", "--quiet"]
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["run", *flags, "--out", str(out1)]) == 0
-        assert main(["run", *flags, "--out", str(out2)]) == 0
-        names1 = sorted(p.name for p in out1.iterdir())
-        assert names1 == sorted(p.name for p in out2.iterdir())
-        for name in names1:
-            if name == "manifest.json":
-                continue  # contains out_dir and wall-clock timings
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        common = ["--window", "8", "--horizons", "1", "--test-len", "40",
+                  "--epochs", "3", "--units", "4", "--seed", "5", "--quiet"]
+        data = tmp_path / "input.csv"
+        save_csv(data, gen_random_walk(Rng(5), n_series=2, length=200))
+        sources = {
+            "generated": ["--dataset", "random-walk", "--length", "200",
+                          "--series", "2"],
+            "csv-raw": ["--data", str(data), "--report-units", "raw",
+                        "--fit-bounds-on-train"],
+        }
+        for source, flags in sources.items():
+            out1, out2 = tmp_path / source / "r1", tmp_path / source / "r2"
+            assert main(["run", *common, *flags, "--out", str(out1)]) == 0
+            assert main(["run", *common, *flags, "--out", str(out2)]) == 0
+            names1 = sorted(p.name for p in out1.iterdir())
+            assert names1 == sorted(p.name for p in out2.iterdir())
+            for name in names1:
+                if name == "manifest.json":
+                    continue  # contains out_dir and wall-clock timings
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), \
+                    (source, name)
+
+    def test_run_reads_data_and_forecasts_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "input.csv"
+        save_csv(data, gen_random_walk(Rng(3), n_series=3, length=200))
+        calls = {"load_csv": 0, "load_checkpoint": 0, "forecast": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_worker_count", lambda pairs: 1)
+        monkeypatch.setattr(cli, "load_csv", counted("load_csv", cli.load_csv))
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            counted("load_checkpoint", cli.load_checkpoint))
+        monkeypatch.setattr(ModelState, "forecast",
+                            counted("forecast", ModelState.forecast))
+        assert main(["run", "--data", str(data), "--window", "8",
+                     "--horizons", "1,3", "--test-len", "40", "--epochs", "1",
+                     "--units", "4", "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        network_pairs, n_series = 2 * 2, 3
+        assert calls == {"load_csv": 1, "load_checkpoint": network_pairs,
+                         "forecast": network_pairs * n_series}
 
     def test_worker_pool_matches_in_process_bytes(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

@@ -9,8 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from rnncast.dataprep import (DegenerateSeriesError, ParseError, PartitionSpec,
-                              Series, denormalize,
-                              denormalize_series, gen_activities,
+                              Series, denormalize, gen_activities,
                               gen_random_walk, load_csv, make_windows,
                               normalize, save_csv)
 from rnncast.numkit import Rng
@@ -82,12 +81,6 @@ class TestDenormalize:
             s = normalize(Series("s", raw))
             back = denormalize(s.values, (s.raw_min, s.raw_max))
             npt.assert_allclose(back, raw, atol=1e-12)
-
-    def test_series_round_trip_uses_recorded_bounds(self):
-        raw = np.array([5.0, -3.0, 12.0, 0.5])
-        s = normalize(Series("s", raw))
-        back = denormalize_series(s)
-        npt.assert_allclose(back.values, raw, atol=1e-12)
 
 
 class TestMakeWindows:

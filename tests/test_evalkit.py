@@ -13,7 +13,7 @@ import pytest
 
 from rnncast.dataprep import PartitionSpec, Series, normalize
 from rnncast.evalkit import (ForecastSet, PersistenceBaseline,
-                             SeriesResult, aggregate, baseline_forecast,
+                             SeriesResult, aggregate,
                              directional_accuracy, evaluate, report_to_csv,
                              report_to_text, rmse)
 
@@ -28,26 +28,20 @@ def make_set(predicted, actual, last_inputs):
 
 class TestBaseline:
     def test_repeats_last_value_once(self):
-        npt.assert_array_equal(baseline_forecast([0.1, 0.9, 0.42], 1), [0.42])
+        out = PersistenceBaseline(window=3, horizon=1).forecast([[0.1, 0.9, 0.42]])
+        npt.assert_array_equal(out, [[0.42]])
 
     def test_repeats_last_value_twenty_times(self):
-        out = baseline_forecast([0.1, 0.42], 20)
-        npt.assert_array_equal(out, np.full(20, 0.42))
+        out = PersistenceBaseline(window=2, horizon=20).forecast([[0.1, 0.42]])
+        npt.assert_array_equal(out, np.full((1, 20), 0.42))
 
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
-            baseline_forecast([1.0], 0)
+            PersistenceBaseline(window=1, horizon=0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
-            baseline_forecast([], 3)
-
-    def test_batched_matches_single(self):
-        b = PersistenceBaseline(window=4, horizon=3)
-        xs = np.arange(12, dtype=float).reshape(3, 4)
-        out = b.forecast(xs)
-        for j in range(3):
-            npt.assert_array_equal(out[j], baseline_forecast(xs[j], 3))
+            PersistenceBaseline(window=0, horizon=3)
 
 
 class TestRmse:

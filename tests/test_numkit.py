@@ -2,124 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rnncast.numkit import (
-    NumericError,
-    Rng,
-    ShapeError,
-    add,
-    matmul,
-    matrix,
-    mul,
-    one_minus,
-    sigmoid,
-    sub,
-    tanh,
-)
-
-
-def matmul_oracle(a, b):
-    """Naive triple-loop product, sequential accumulation."""
-    m, k = a.shape
-    _, n = b.shape
-    out = [[0.0] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i][j] = s
-    return np.array(out)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = matrix([[1, 2], [3, 4]])
-        eye = matrix([[1, 0], [0, 1]])
-        npt.assert_array_equal(matmul(a, eye), a)
-
-    def test_dot_product(self):
-        a = matrix([[1, 2]])
-        b = matrix([[3], [4]])
-        npt.assert_array_equal(matmul(a, b), [[11.0]])
-
-    def test_matches_triple_loop_exactly(self):
-        rng = Rng(2024)
-        a = rng.uniform(-1.0, 1.0, 3, 4)
-        b = rng.uniform(-1.0, 1.0, 4, 2)
-        npt.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
-
-    def test_matches_triple_loop_large(self):
-        rng = Rng(7)
-        a = rng.uniform(-2.0, 2.0, 17, 32)
-        b = rng.uniform(-2.0, 2.0, 32, 9)
-        npt.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
-
-    def test_dimension_mismatch_names_shapes(self):
-        a = matrix([[1, 2, 3]])
-        b = matrix([[1, 2]])
-        with pytest.raises(ShapeError, match=r"\(1, 3\).*\(1, 2\)"):
-            matmul(a, b)
-
-    def test_associativity(self):
-        rng = Rng(42)
-        a = rng.uniform(-1, 1, 3, 5)
-        b = rng.uniform(-1, 1, 5, 4)
-        c = rng.uniform(-1, 1, 4, 2)
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        npt.assert_allclose(left, right, rtol=1e-9)
-
-
-class TestElementwise:
-    def test_sigmoid_at_zero(self):
-        npt.assert_array_equal(sigmoid(matrix([[0.0]])), [[0.5]])
-
-    def test_tanh_at_zero(self):
-        npt.assert_array_equal(tanh(matrix([[0.0]])), [[0.0]])
-
-    def test_hadamard(self):
-        npt.assert_array_equal(mul(matrix([[2, 3]]), matrix([[4, 5]])), [[8.0, 15.0]])
-
-    def test_add_sub_one_minus(self):
-        a = matrix([[1.0, 2.0]])
-        b = matrix([[0.5, 0.5]])
-        npt.assert_array_equal(add(a, b), [[1.5, 2.5]])
-        npt.assert_array_equal(sub(a, b), [[0.5, 1.5]])
-        npt.assert_array_equal(one_minus(b), [[0.5, 0.5]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            add(matrix([[1, 2]]), matrix([[1], [2]]))
-        with pytest.raises(ShapeError):
-            mul(matrix([[1, 2]]), matrix([[1, 2, 3]]))
-
-    def test_sigmoid_symmetry(self):
-        rng = Rng(5)
-        x = rng.uniform(-20.0, 20.0, 40, 25)
-        total = sigmoid(x) + sigmoid(-x)
-        npt.assert_allclose(total, 1.0, atol=1e-12)
-
-    def test_outputs_finite_for_bounded_inputs(self):
-        rng = Rng(11)
-        a = rng.uniform(-1e3, 1e3, 8, 8)
-        b = rng.uniform(-1e3, 1e3, 8, 8)
-        for out in (add(a, b), sub(a, b), mul(a, b), sigmoid(a), tanh(a), one_minus(a), matmul(a, b)):
-            assert np.isfinite(out).all()
-
-    def test_nan_does_not_escape(self):
-        bad = np.array([[np.nan, 1.0]])
-        with pytest.raises(NumericError):
-            add(bad, np.array([[1.0, 1.0]]))
-
-
-class TestMatrixConstruction:
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            matrix([1, 2, 3])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            matrix([[1.0, np.inf]])
+from rnncast.numkit import Rng
 
 
 class TestRng:

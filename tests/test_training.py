@@ -253,6 +253,21 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointCorruptError, match="trailing"):
             load_checkpoint(path)
 
+    def test_tensor_shape_contradicting_header_is_corrupt(self, tmp_path):
+        cp, path = self.trained(tmp_path, "gru")
+        cp.model.cell.u_z = np.zeros((3, 3))  # header says units=5
+        save_checkpoint(cp, path)
+        with pytest.raises(CheckpointCorruptError, match="'u_z'"):
+            load_checkpoint(path)
+
+    def test_unexpected_tensor_is_corrupt(self, tmp_path):
+        cp, path = self.trained(tmp_path)
+        tensors = cp.model.tensors()
+        cp.model.tensors = lambda: {**tensors, "w_extra": np.zeros(5)}
+        save_checkpoint(cp, path)
+        with pytest.raises(CheckpointCorruptError, match="'w_extra'"):
+            load_checkpoint(path)
+
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "nope.tsfc")
