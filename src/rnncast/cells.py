@@ -25,7 +25,9 @@ normalized space but are never clamped).
 The batched internals carry a whole stack of windows at once, shape
 (batch, window); gradients are exact means of per-sample gradients. The
 loss is MSE averaged over horizon steps, matching the gradient of
-(1/horizon) * sum((pred - target)^2) per sample.
+(1/horizon) * sum((pred - target)^2) per sample. Each cell's equations
+exist once, in a step generator that serves both `forecast` and training,
+and once more, differentiated, in its backward pass.
 """
 
 from __future__ import annotations
@@ -37,13 +39,26 @@ from scipy.special import expit
 
 from .numkit import NumericError, Rng, ShapeError
 
-CELL_KINDS = ("lstm", "gru")
+
+class _GateParams:
+    """Per-gate weights: w_* (units,) input, u_* (units, units) recurrent,
+    b_* (units,); fields run gate by gate, (w, u, b) for each."""
+
+    @property
+    def units(self) -> int:
+        return next(iter(self.tensors().values())).shape[0]
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def gates(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(w, u, b) of each gate, in field order."""
+        ts = list(self.tensors().values())
+        return [tuple(ts[k:k + 3]) for k in range(0, len(ts), 3)]
 
 
 @dataclass
-class LstmParams:
-    """Per-gate weights: w_* (units,) input, u_* (units, units) recurrent, b_* (units,)."""
-
+class LstmParams(_GateParams):
     w_i: np.ndarray
     u_i: np.ndarray
     b_i: np.ndarray
@@ -57,20 +72,9 @@ class LstmParams:
     u_g: np.ndarray
     b_g: np.ndarray
 
-    @property
-    def units(self) -> int:
-        return self.b_i.shape[0]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in
-                ("w_i", "u_i", "b_i", "w_f", "u_f", "b_f",
-                 "w_o", "u_o", "b_o", "w_g", "u_g", "b_g")}
-
 
 @dataclass
-class GruParams:
-    """Per-gate weights: w_* (units,) input, u_* (units, units) recurrent, b_* (units,)."""
-
+class GruParams(_GateParams):
     w_z: np.ndarray
     u_z: np.ndarray
     b_z: np.ndarray
@@ -81,13 +85,9 @@ class GruParams:
     u_n: np.ndarray
     b_n: np.ndarray
 
-    @property
-    def units(self) -> int:
-        return self.b_z.shape[0]
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in
-                ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_n", "u_n", "b_n")}
+CELL_PARAMS = {"lstm": LstmParams, "gru": GruParams}
+CELL_KINDS = tuple(CELL_PARAMS)
 
 
 @dataclass
@@ -111,26 +111,14 @@ def _zeros_like_params(params):
                   for f in params.__dataclass_fields__})
 
 
-def init_lstm(units: int, rng: Rng) -> LstmParams:
+def init_cell(kind: str, units: int, rng: Rng) -> LstmParams | GruParams:
+    """w_* and u_* drawn in field order, uniform in [-1/sqrt(units), +1/sqrt(units)]; b_* zero."""
     scale = 1.0 / np.sqrt(units)
-    def w():
-        return rng.uniform(-scale, scale, units, 1).ravel()
-    def u():
-        return rng.uniform(-scale, scale, units, units)
-    def b():
-        return np.zeros(units)
-    return LstmParams(w(), u(), b(), w(), u(), b(), w(), u(), b(), w(), u(), b())
-
-
-def init_gru(units: int, rng: Rng) -> GruParams:
-    scale = 1.0 / np.sqrt(units)
-    def w():
-        return rng.uniform(-scale, scale, units, 1).ravel()
-    def u():
-        return rng.uniform(-scale, scale, units, units)
-    def b():
-        return np.zeros(units)
-    return GruParams(w(), u(), b(), w(), u(), b(), w(), u(), b())
+    draw = {"w": lambda: rng.uniform(-scale, scale, units, 1).ravel(),
+            "u": lambda: rng.uniform(-scale, scale, units, units),
+            "b": lambda: np.zeros(units)}
+    params = CELL_PARAMS[kind]
+    return params(**{name: draw[name[0]]() for name in params.__dataclass_fields__})
 
 
 def init_dense(units: int, horizon: int, rng: Rng) -> DenseParams:
@@ -140,9 +128,8 @@ def init_dense(units: int, horizon: int, rng: Rng) -> DenseParams:
 
 def tensor_shapes(kind: str, units: int, horizon: int) -> dict[str, tuple]:
     """Name -> shape of every tensor of a `kind` model, cell then head."""
-    params = LstmParams if kind == "lstm" else GruParams
     shapes = {name: (units, units) if name.startswith("u_") else (units,)
-              for name in params.__dataclass_fields__}
+              for name in CELL_PARAMS[kind].__dataclass_fields__}
     shapes.update(w_out=(horizon, units), b_out=(horizon,))
     return shapes
 
@@ -199,10 +186,9 @@ class ModelState:
         if xs.ndim != 2 or xs.shape[1] != self.window:
             raise ShapeError(
                 f"forecast: expected inputs of shape (n, {self.window}), got {xs.shape}")
-        if self.kind == "lstm":
-            h, _ = _lstm_run(self.cell, xs)
-        else:
-            h = _gru_run(self.cell, xs)
+        for step in _STEPS[self.kind](self.cell, xs):
+            h = step[-1]
+            del step  # frees this step's gates while the next one is computed
         preds = h @ self.head.weight.T + self.head.bias
         if not np.isfinite(preds).all():
             raise NumericError("forecast: non-finite prediction")
@@ -216,7 +202,7 @@ def init_model(kind: str, units: int, window: int, horizon: int, rng: Rng) -> Mo
     if min(units, window, horizon) < 1:
         raise ValueError(
             f"units, window, horizon must be positive, got {units}, {window}, {horizon}")
-    cell = init_lstm(units, rng) if kind == "lstm" else init_gru(units, rng)
+    cell = init_cell(kind, units, rng)
     head = init_dense(units, horizon, rng)
     return ModelState(kind=kind, cell=cell, head=head,
                       units=units, window=window, horizon=horizon)
@@ -255,14 +241,14 @@ class GruTrace:
 def lstm_forward(params: LstmParams, window) -> LstmTrace:
     """Run one window through the LSTM from zero state, keeping full traces."""
     xs = _as_window_batch(window)
-    tr = _lstm_forward_traced(params, xs)
+    tr = _forward_traced("lstm", params, xs)
     return LstmTrace(hidden=tr["h"][1:, 0, :].copy(), cell=tr["c"][1:, 0, :].copy())
 
 
 def gru_forward(params: GruParams, window) -> GruTrace:
     """Run one window through the GRU from zero state, keeping full traces."""
     xs = _as_window_batch(window)
-    tr = _gru_forward_traced(params, xs)
+    tr = _forward_traced("gru", params, xs)
     return GruTrace(hidden=tr["h"][1:, 0, :].copy())
 
 
@@ -280,16 +266,16 @@ def dense_forward(head: DenseParams, hidden) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched internals. Shapes: xs (B, T); gates and states (B, U) per step,
-# stacked to (T, B, U) in the traces. The public single-window ops above are
-# the B=1 case of these.
+# stacked to (T, B, U) in the traces. One step generator per cell serves
+# both `forecast`, which keeps only the last h, and training, which traces
+# every step. The public single-window ops above are the B=1 case of these.
 # ---------------------------------------------------------------------------
 
-def _lstm_run(params: LstmParams, xs: np.ndarray):
-    """Forward without traces; returns (final hidden (B, U), final cell)."""
+def _lstm_steps(params: LstmParams, xs: np.ndarray):
+    """Yield (i, f, o, g, tanh_c, c, h) for each step, from zero state."""
     B, T = xs.shape
-    U = params.units
-    h = np.zeros((B, U))
-    c = np.zeros((B, U))
+    h = np.zeros((B, params.units))
+    c = np.zeros((B, params.units))
     for t in range(T):
         x = xs[:, t:t + 1]
         i = expit(x * params.w_i + h @ params.u_i.T + params.b_i)
@@ -297,184 +283,99 @@ def _lstm_run(params: LstmParams, xs: np.ndarray):
         o = expit(x * params.w_o + h @ params.u_o.T + params.b_o)
         g = np.tanh(x * params.w_g + h @ params.u_g.T + params.b_g)
         c = f * c + i * g
-        h = o * np.tanh(c)
-    return h, c
+        tc = np.tanh(c)
+        h = o * tc
+        yield i, f, o, g, tc, c, h
 
 
-def _gru_run(params: GruParams, xs: np.ndarray):
+def _gru_steps(params: GruParams, xs: np.ndarray):
+    """Yield (z, r, n, rh, h) for each step, from zero state; rh = r_t * h_{t-1}."""
     B, T = xs.shape
-    U = params.units
-    h = np.zeros((B, U))
+    h = np.zeros((B, params.units))
     for t in range(T):
         x = xs[:, t:t + 1]
         z = expit(x * params.w_z + h @ params.u_z.T + params.b_z)
         r = expit(x * params.w_r + h @ params.u_r.T + params.b_r)
-        n = np.tanh(x * params.w_n + (r * h) @ params.u_n.T + params.b_n)
+        rh = r * h
+        n = np.tanh(x * params.w_n + rh @ params.u_n.T + params.b_n)
         h = (1.0 - z) * n + z * h
-    return h
+        yield z, r, n, rh, h
 
 
-def _lstm_forward_traced(params: LstmParams, xs: np.ndarray) -> dict:
+_STEPS = {"lstm": _lstm_steps, "gru": _gru_steps}
+_STEP_NAMES = {"lstm": ("i", "f", "o", "g", "tanh_c", "c", "h"),
+               "gru": ("z", "r", "n", "rh", "h")}
+_STATES = ("c", "h")
+
+
+def _forward_traced(kind: str, params, xs: np.ndarray) -> dict:
+    """Every step's values by name: gates (T, B, U); states c and h
+    (T + 1, B, U), with the zero initial state at index 0."""
     B, T = xs.shape
-    U = params.units
-    h = np.zeros((T + 1, B, U))
-    c = np.zeros((T + 1, B, U))
-    gi = np.empty((T, B, U))
-    gf = np.empty((T, B, U))
-    go = np.empty((T, B, U))
-    gg = np.empty((T, B, U))
-    tc = np.empty((T, B, U))
-    for t in range(T):
-        x = xs[:, t:t + 1]
-        hp = h[t]
-        gi[t] = expit(x * params.w_i + hp @ params.u_i.T + params.b_i)
-        gf[t] = expit(x * params.w_f + hp @ params.u_f.T + params.b_f)
-        go[t] = expit(x * params.w_o + hp @ params.u_o.T + params.b_o)
-        gg[t] = np.tanh(x * params.w_g + hp @ params.u_g.T + params.b_g)
-        c[t + 1] = gf[t] * c[t] + gi[t] * gg[t]
-        tc[t] = np.tanh(c[t + 1])
-        h[t + 1] = go[t] * tc[t]
-    return {"h": h, "c": c, "i": gi, "f": gf, "o": go, "g": gg, "tanh_c": tc}
+    tr, rows = {}, []
+    for name in _STEP_NAMES[kind]:
+        if name in _STATES:
+            tr[name] = np.zeros((T + 1, B, params.units))
+            rows.append(tr[name][1:])
+        else:
+            tr[name] = np.empty((T, B, params.units))
+            rows.append(tr[name])
+    for t, step in enumerate(_STEPS[kind](params, xs)):
+        for row, value in zip(rows, step):
+            row[t] = value
+    return tr
 
 
-def _gru_forward_traced(params: GruParams, xs: np.ndarray) -> dict:
-    B, T = xs.shape
-    U = params.units
-    h = np.zeros((T + 1, B, U))
-    gz = np.empty((T, B, U))
-    gr = np.empty((T, B, U))
-    gn = np.empty((T, B, U))
-    rh = np.empty((T, B, U))  # r_t * h_{t-1}, reused by the u_n gradient
-    for t in range(T):
-        x = xs[:, t:t + 1]
-        hp = h[t]
-        gz[t] = expit(x * params.w_z + hp @ params.u_z.T + params.b_z)
-        gr[t] = expit(x * params.w_r + hp @ params.u_r.T + params.b_r)
-        rh[t] = gr[t] * hp
-        gn[t] = np.tanh(x * params.w_n + rh[t] @ params.u_n.T + params.b_n)
-        h[t + 1] = (1.0 - gz[t]) * gn[t] + gz[t] * hp
-    return {"h": h, "z": gz, "r": gr, "n": gn, "rh": rh}
-
-
-def _lstm_backward_batch(params: LstmParams, grads: LstmParams,
-                         xs: np.ndarray, dh: np.ndarray, tr: dict,
-                         accumulate: bool) -> None:
-    T = xs.shape[1]
-    dw_i = np.zeros_like(params.w_i)
-    du_i = np.zeros_like(params.u_i)
-    db_i = np.zeros_like(params.b_i)
-    dw_f = np.zeros_like(params.w_f)
-    du_f = np.zeros_like(params.u_f)
-    db_f = np.zeros_like(params.b_f)
-    dw_o = np.zeros_like(params.w_o)
-    du_o = np.zeros_like(params.u_o)
-    db_o = np.zeros_like(params.b_o)
-    dw_g = np.zeros_like(params.w_g)
-    du_g = np.zeros_like(params.u_g)
-    db_g = np.zeros_like(params.b_g)
-
+def _lstm_backward(params: LstmParams, grads: LstmParams,
+                   xs: np.ndarray, dh: np.ndarray, tr: dict) -> None:
+    """Add the BPTT gradients of dh (loss w.r.t. the final h) into `grads`."""
+    gates = grads.gates()
     dc = np.zeros_like(dh)
-    for t in range(T - 1, -1, -1):
+    for t in range(xs.shape[1] - 1, -1, -1):
         i, f, o, g = tr["i"][t], tr["f"][t], tr["o"][t], tr["g"][t]
         tc = tr["tanh_c"][t]
         h_prev = tr["h"][t]
-        c_prev = tr["c"][t]
         x = xs[:, t]
 
-        do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_o = do * o * (1.0 - o)
-        da_g = dg * (1.0 - g * g)
-
-        dw_i += x @ da_i
-        du_i += da_i.T @ h_prev
-        db_i += da_i.sum(axis=0)
-        dw_f += x @ da_f
-        du_f += da_f.T @ h_prev
-        db_f += da_f.sum(axis=0)
-        dw_o += x @ da_o
-        du_o += da_o.T @ h_prev
-        db_o += da_o.sum(axis=0)
-        dw_g += x @ da_g
-        du_g += da_g.T @ h_prev
-        db_g += da_g.sum(axis=0)
+        da_i = dc * g * i * (1.0 - i)
+        da_f = dc * tr["c"][t] * f * (1.0 - f)
+        da_o = dh * tc * o * (1.0 - o)
+        da_g = dc * i * (1.0 - g * g)
+        for (dw, du, db), da in zip(gates, (da_i, da_f, da_o, da_g)):
+            dw += x @ da
+            du += da.T @ h_prev
+            db += da.sum(axis=0)
 
         dh = da_i @ params.u_i + da_f @ params.u_f + da_o @ params.u_o + da_g @ params.u_g
         dc = dc * f
 
-    for dst, src in ((grads.w_i, dw_i), (grads.u_i, du_i), (grads.b_i, db_i),
-                     (grads.w_f, dw_f), (grads.u_f, du_f), (grads.b_f, db_f),
-                     (grads.w_o, dw_o), (grads.u_o, du_o), (grads.b_o, db_o),
-                     (grads.w_g, dw_g), (grads.u_g, du_g), (grads.b_g, db_g)):
-        if accumulate:
-            dst += src
-        else:
-            np.copyto(dst, src)
 
-
-def _gru_backward_batch(params: GruParams, grads: GruParams,
-                        xs: np.ndarray, dh: np.ndarray, tr: dict,
-                        accumulate: bool) -> None:
-    T = xs.shape[1]
-    dw_z = np.zeros_like(params.w_z)
-    du_z = np.zeros_like(params.u_z)
-    db_z = np.zeros_like(params.b_z)
-    dw_r = np.zeros_like(params.w_r)
-    du_r = np.zeros_like(params.u_r)
-    db_r = np.zeros_like(params.b_r)
-    dw_n = np.zeros_like(params.w_n)
-    du_n = np.zeros_like(params.u_n)
-    db_n = np.zeros_like(params.b_n)
-
-    for t in range(T - 1, -1, -1):
+def _gru_backward(params: GruParams, grads: GruParams,
+                  xs: np.ndarray, dh: np.ndarray, tr: dict) -> None:
+    """Add the BPTT gradients of dh (loss w.r.t. the final h) into `grads`."""
+    gates = grads.gates()
+    for t in range(xs.shape[1] - 1, -1, -1):
         z, r, n, rh = tr["z"][t], tr["r"][t], tr["n"][t], tr["rh"][t]
         h_prev = tr["h"][t]
         x = xs[:, t]
 
-        dz = dh * (h_prev - n)
-        dn = dh * (1.0 - z)
-        dh_prev = dh * z
-
-        da_n = dn * (1.0 - n * n)
-        dw_n += x @ da_n
-        du_n += da_n.T @ rh
-        db_n += da_n.sum(axis=0)
-
+        da_n = dh * (1.0 - z) * (1.0 - n * n)
         drh = da_n @ params.u_n
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
+        da_z = dh * (h_prev - n) * z * (1.0 - z)
+        da_r = drh * h_prev * r * (1.0 - r)
+        for (dw, du, db), da, h_in in zip(gates, (da_z, da_r, da_n), (h_prev, h_prev, rh)):
+            dw += x @ da
+            du += da.T @ h_in
+            db += da.sum(axis=0)
 
-        da_z = dz * z * (1.0 - z)
-        dw_z += x @ da_z
-        du_z += da_z.T @ h_prev
-        db_z += da_z.sum(axis=0)
-        dh_prev = dh_prev + da_z @ params.u_z
-
-        da_r = dr * r * (1.0 - r)
-        dw_r += x @ da_r
-        du_r += da_r.T @ h_prev
-        db_r += da_r.sum(axis=0)
-        dh_prev = dh_prev + da_r @ params.u_r
-
-        dh = dh_prev
-
-    for dst, src in ((grads.w_z, dw_z), (grads.u_z, du_z), (grads.b_z, db_z),
-                     (grads.w_r, dw_r), (grads.u_r, du_r), (grads.b_r, db_r),
-                     (grads.w_n, dw_n), (grads.u_n, du_n), (grads.b_n, db_n)):
-        if accumulate:
-            dst += src
-        else:
-            np.copyto(dst, src)
+        dh = dh * z + drh * r + da_z @ params.u_z + da_r @ params.u_r
 
 
-def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray,
-                   accumulate: bool = False) -> float:
+_BACKWARDS = {"lstm": _lstm_backward, "gru": _gru_backward}
+
+
+def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray) -> float:
     """MSE loss and gradients for a stack of windows.
 
     Loss is the batch mean of per-sample (1/horizon) * sum(squared error);
@@ -495,10 +396,7 @@ def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray,
     B = xs.shape[0]
     F = state.horizon
 
-    if state.kind == "lstm":
-        tr = _lstm_forward_traced(state.cell, xs)
-    else:
-        tr = _gru_forward_traced(state.cell, xs)
+    tr = _forward_traced(state.kind, state.cell, xs)
     h_last = tr["h"][-1]  # (B, U)
 
     with np.errstate(over="ignore"):
@@ -508,26 +406,16 @@ def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray,
     if not np.isfinite(loss):
         raise NumericError("backward: non-finite loss")
 
-    dpred = (2.0 / (F * B)) * err            # (B, F)
-    dw_out = dpred.T @ h_last                # (F, U)
-    db_out = dpred.sum(axis=0)               # (F,)
-    dh = dpred @ state.head.weight           # (B, U)
-
-    if accumulate:
-        state.head_grads.weight += dw_out
-        state.head_grads.bias += db_out
-    else:
-        np.copyto(state.head_grads.weight, dw_out)
-        np.copyto(state.head_grads.bias, db_out)
-
-    if state.kind == "lstm":
-        _lstm_backward_batch(state.cell, state.cell_grads, xs, dh, tr, accumulate)
-    else:
-        _gru_backward_batch(state.cell, state.cell_grads, xs, dh, tr, accumulate)
+    state.zero_grads()
+    dpred = (2.0 / (F * B)) * err                           # (B, F)
+    np.copyto(state.head_grads.weight, dpred.T @ h_last)    # (F, U)
+    np.copyto(state.head_grads.bias, dpred.sum(axis=0))     # (F,)
+    dh = dpred @ state.head.weight                          # (B, U)
+    _BACKWARDS[state.kind](state.cell, state.cell_grads, xs, dh, tr)
     return loss
 
 
-def backward(state: ModelState, window, target, accumulate: bool = False) -> float:
+def backward(state: ModelState, window, target) -> float:
     """Loss and gradients for a single (window, target) sample."""
     xs = np.asarray(window, dtype=np.float64)
     ys = np.asarray(target, dtype=np.float64)
@@ -535,4 +423,4 @@ def backward(state: ModelState, window, target, accumulate: bool = False) -> flo
         raise ShapeError(f"backward: expected window of length {state.window}, got shape {xs.shape}")
     if ys.ndim != 1 or ys.shape[0] != state.horizon:
         raise ShapeError(f"backward: expected target of length {state.horizon}, got shape {ys.shape}")
-    return backward_batch(state, xs[None, :], ys[None, :], accumulate=accumulate)
+    return backward_batch(state, xs[None, :], ys[None, :])

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cells import (DenseParams, GruParams, LstmParams, ModelState,
-                    backward_batch, init_model, tensor_shapes)
+from .cells import (CELL_PARAMS, DenseParams, ModelState, backward_batch,
+                    init_model, tensor_shapes)
 from .dataprep import WindowedDataset
 from .numkit import NumericError, Rng, ShapeError
 
@@ -218,7 +220,8 @@ def train(kind: str, dataset: WindowedDataset, config: TrainConfig,
 #             u8             ndim
 #             u32 * ndim     dims
 #             f64 * prod     row-major data
-# No trailing bytes are allowed.
+# No trailing bytes are allowed, and no tensor may declare more data than
+# the file has left.
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -258,6 +261,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointCorruptError(
@@ -282,11 +286,18 @@ def load_checkpoint(path) -> Checkpoint:
         tensors = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointCorruptError(f"tensor name unreadable: {exc}") from exc
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} dims"))
-            size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            data = _read_exact(fh, 8 * size, f"{name} data")
+            nbytes = 8 * math.prod(shape)
+            if nbytes > file_size - fh.tell():
+                raise CheckpointCorruptError(
+                    f"tensor {name!r} declares shape {shape} ({nbytes} bytes), "
+                    f"more than the {file_size - fh.tell()} bytes left in the file")
+            data = _read_exact(fh, nbytes, f"{name} data")
             tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise CheckpointCorruptError("trailing bytes after checkpoint payload")
@@ -296,7 +307,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointCorruptError(
             f"{kind} checkpoint has unexpected tensors {sorted(tensors.keys() - names)} "
             f"and lacks {sorted(names - tensors.keys())}")
-    params = LstmParams if kind == "lstm" else GruParams
+    params = CELL_PARAMS[kind]
     cell = params(**{f: tensors[f] for f in params.__dataclass_fields__})
     head = DenseParams(weight=tensors["w_out"], bias=tensors["b_out"])
     try:

@@ -290,17 +290,6 @@ class TestGradients:
             npt.assert_allclose(got, want, rtol=1e-9, atol=1e-12,
                                 err_msg=name)
 
-    def test_accumulate_adds_instead_of_overwriting(self):
-        state = make_state("lstm", seed=77)
-        rng = np.random.default_rng(8)
-        xs = rng.uniform(-1, 1, size=5)
-        ys = rng.uniform(-1, 1, size=2)
-        backward(state, xs, ys)
-        once = {k: v.copy() for k, v in state.grad_tensors().items()}
-        backward(state, xs, ys, accumulate=True)
-        for name, got in state.grad_tensors().items():
-            npt.assert_array_equal(got, 2.0 * once[name], err_msg=name)
-
     def test_loss_is_mean_squared_error_over_horizon(self):
         state = make_state("gru", units=4, window=5, horizon=2, seed=12)
         rng = np.random.default_rng(14)

@@ -6,6 +6,7 @@ evaluate/plot/manifest tests inspect, so the pipeline only trains once.
 
 import json
 import os
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -203,6 +204,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{tensor}'" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fault", ["huge u_z", "non-utf8 name"])
+    def test_corrupt_tensor_record_exits_2(self, tmp_path, capsys, fault):
+        path = tmp_path / "gru_f1.tsfc"
+        save_checkpoint(Checkpoint(init_model("gru", 4, 10, 1, Rng(0)), None, None, {}), path)
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"u_z")
+        if fault == "huge u_z":  # (2**31, 2**30) float64s, 16 EiB
+            blob[at + 4:at + 12] = struct.pack("<II", 2 ** 31, 2 ** 30)
+        else:
+            blob[at] = 0xFF
+        path.write_bytes(bytes(blob))
+        rc = main(["evaluate", *DESK_FLAGS, "--models", "gru", "--horizons", "1",
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_baseline_on_constant_dataset_scores_perfectly(self, tmp_path):
         data = tmp_path / "flat.csv"

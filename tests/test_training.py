@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rnncast.cells import init_model
 from rnncast.dataprep import (PartitionSpec, Series, WindowedDataset,
                               gen_activities, make_windows, normalize)
 from rnncast.numkit import NumericError, Rng, ShapeError
@@ -267,6 +268,28 @@ class TestCheckpointIO:
         save_checkpoint(cp, path)
         with pytest.raises(CheckpointCorruptError, match="'w_extra'"):
             load_checkpoint(path)
+
+    def test_every_truncation_and_byte_flip_loads_or_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "small.tsfc"
+        model = init_model("gru", 1, 4, 1, Rng(3))
+        save_checkpoint(Checkpoint(model, 0.0, 1.0, {"seed": 3}), path)
+        blob = path.read_bytes()
+        variants = {f"cut {n}": blob[:n] for n in range(len(blob))}
+        for pos in range(len(blob)):
+            for mask in (0xFF, 0x80, 0x01):
+                flipped = bytearray(blob)
+                flipped[pos] ^= mask
+                variants[f"byte {pos} ^ {mask:#04x}"] = bytes(flipped)
+        escaped = []
+        for label, data in variants.items():
+            path.write_bytes(data)
+            try:
+                load_checkpoint(path)
+            except (CheckpointCorruptError, CheckpointVersionError):
+                pass
+            except Exception as exc:
+                escaped.append(f"{label}: {type(exc).__name__}: {exc}")
+        assert not escaped, "\n".join(escaped[:10])
 
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
