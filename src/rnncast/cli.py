@@ -2,8 +2,11 @@
 
 One experiment = one JSON config (every field of ExperimentConfig, same
 names). CLI flags override config fields; a missing config file just means
-all defaults. The `run` subcommand chains the stages and writes a manifest
-listing every artifact it produced:
+all defaults. Each setting is declared once, as an ExperimentConfig field
+whose name is its JSON key and argparse dest and whose metadata holds its
+flag; `dataset`, `beta1`, `beta2` and `eps` are JSON-only. `validate` checks
+every type and value before any file is written. The `run` subcommand
+chains the stages and writes a manifest listing every artifact it produced:
 
     out/
       dataset.csv               the data actually used (wide CSV)
@@ -43,7 +46,10 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from inspect import signature
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,7 +60,7 @@ from .dataprep import (ParseError, PartitionSpec, Series, denormalize,
 from .evalkit import (ForecastSet, PersistenceBaseline, SeriesResult, aggregate,
                       evaluate, report_to_csv, report_to_text)
 from .numkit import NumericError, Rng
-from .training import (Checkpoint, TrainConfig, load_checkpoint,
+from .training import (AdamState, Checkpoint, TrainConfig, load_checkpoint,
                        save_checkpoint, train)
 
 
@@ -63,49 +69,88 @@ class ConfigError(ValueError):
 
 
 MODEL_CHOICES = ("lstm", "gru", "baseline")
-GENERATOR_PARAMS = {
-    "activities": ("n_series", "length", "samples_per_day", "high_level",
-                   "low_level", "noise_sd", "amplitude_jitter"),
-    "random-walk": ("n_series", "length", "start", "step_sd"),
-}
-# Command-line flag (argparse dest) -> the generator parameter it sets.
-GENERATOR_FLAGS = {"series": "n_series", "length": "length",
-                   "samples_per_day": "samples_per_day", "high": "high_level",
-                   "low": "low_level", "noise_sd": "noise_sd",
-                   "jitter": "amplitude_jitter", "start": "start",
-                   "step_sd": "step_sd"}
+GENERATORS = {"activities": gen_activities, "random-walk": gen_random_walk}
+# Data source kind -> {parameter: type}: each generator's parameters after
+# `rng`, typed by their defaults, and the keys of the csv source.
+GENERATOR_PARAMS = {kind: {p.name: type(p.default)
+                           for p in list(signature(gen).parameters.values())[1:]}
+                    for kind, gen in GENERATORS.items()}
+GENERATOR_PARAMS["csv"] = {"path": str, "date_column": bool}
+# Command-line flag (argparse dest) -> (the generator parameter it sets, help).
+GENERATOR_FLAGS = {"series": ("n_series", "generator series count"),
+                   "length": ("length", "generator series length"),
+                   "samples_per_day": ("samples_per_day", "samples per day"),
+                   "high": ("high_level", "high-activity level"),
+                   "low": ("low_level", "low-activity level"),
+                   "noise_sd": ("noise_sd", "additive noise spread"),
+                   "jitter": ("amplitude_jitter", "per-day amplitude jitter"),
+                   "start": ("start", "random-walk start value"),
+                   "step_sd": ("step_sd", "random-walk step spread")}
+
+
+def _flag(flag: str, default, help_text: str, **argparse_kwargs):
+    """A config field that the command-line `flag` sets; the field's
+    metadata holds the flag and its other add_argument keywords."""
+    metadata = {"flag": flag, "help": help_text, **argparse_kwargs}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type `hint`: a bool is not a number, and
+    an int passes as a float."""
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if get_origin(hint) is UnionType:
+        return any(_fits(value, h) for h in get_args(hint))
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment needs; serializes 1:1 to/from JSON."""
+    """Everything one experiment needs; serializes 1:1 to/from JSON.
+
+    Each field is one JSON key. A field made with `_flag` is also set by
+    its command-line flag; the others are JSON-only.
+    """
 
     dataset: dict = field(default_factory=lambda: {"kind": "activities"})
-    window: int = 60
-    horizons: list = field(default_factory=lambda: [1, 20])
-    test_len: int = 251
-    models: list = field(default_factory=lambda: list(MODEL_CHOICES))
-    train_series_index: int = 0
-    epochs: int = 200
-    batch_size: int = 32
-    seed: int = 0
-    units: int = 128
-    shuffle: bool = True
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float | None = None
-    out_dir: str = "out"
-    report_units: str = "normalized"
-    fit_bounds_on_train: bool = False
-    plot_points: int = 100
-    plot_stride: int = 20
+    window: int = _flag("--window", 60, "input window length")
+    horizons: list[int] = _flag("--horizons", [1, 20],
+                                "comma-separated forecast horizons, e.g. 1,20")
+    test_len: int = _flag("--test-len", 251, "held-out tail length")
+    models: list[str] = _flag("--models", list(MODEL_CHOICES),
+                              "comma-separated subset of lstm,gru,baseline")
+    train_series_index: int = _flag("--train-series-index", 0,
+                                    "which series to train on")
+    epochs: int = _flag("--epochs", TrainConfig.epochs, "passes over the training windows")
+    batch_size: int = _flag("--batch-size", TrainConfig.batch_size, "windows per Adam step")
+    seed: int = _flag("--seed", TrainConfig.seed, "master RNG seed")
+    units: int = _flag("--units", TrainConfig.units, "recurrent units per cell")
+    shuffle: bool = _flag("--no-shuffle", TrainConfig.shuffle,
+                          "keep sample order fixed across epochs")
+    learning_rate: float = _flag("--learning-rate", TrainConfig.learning_rate,
+                                 "Adam step size")
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    eps: float = TrainConfig.eps
+    grad_clip: float | None = _flag("--grad-clip", TrainConfig.grad_clip,
+                                    "clip each batch's global gradient norm to this")
+    out_dir: str = _flag("--out", "out", "output directory", metavar="OUT")
+    report_units: str = _flag("--report-units", "normalized", "units of the scores",
+                              choices=("normalized", "raw"))
+    fit_bounds_on_train: bool = _flag("--fit-bounds-on-train", False,
+                                      "fit normalization bounds on the training region only")
+    plot_points: int = _flag("--plot-points", 100, "test steps per chart")
+    plot_stride: int = _flag("--plot-stride", 20,
+                             "origin spacing for multi-step forecast fans")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**data)
@@ -116,66 +161,51 @@ class ExperimentConfig:
         return asdict(self)
 
     def validate(self) -> None:
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, hints[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            choices = f.metadata.get("choices")
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+
         kind = self.dataset.get("kind")
-        if kind in GENERATOR_PARAMS:
-            extra = set(self.dataset) - {"kind"} - set(GENERATOR_PARAMS[kind])
-            if extra:
-                raise ConfigError(
-                    f"unknown {kind} generator parameters: {sorted(extra)}")
-        elif kind == "csv":
-            if "path" not in self.dataset:
-                raise ConfigError("csv dataset needs a 'path' entry")
-        else:
+        if not isinstance(kind, str) or kind not in GENERATOR_PARAMS:
+            raise ConfigError(f"dataset kind must be one of "
+                              f"{', '.join(GENERATOR_PARAMS)}; got {kind!r}")
+        params = {"kind": str, **GENERATOR_PARAMS[kind]}
+        for name, value in self.dataset.items():
+            if name not in params:
+                raise ConfigError(f"unknown {kind} dataset parameter {name!r}")
+            if not _fits(value, params[name]):
+                raise ConfigError(f"{kind} dataset parameter {name} must be "
+                                  f"{params[name].__name__}, got {value!r}")
+        if kind == "csv" and "path" not in self.dataset:
+            raise ConfigError("csv dataset needs a 'path' entry")
+
+        if not self.horizons or len(set(self.horizons)) != len(self.horizons):
             raise ConfigError(
-                f"dataset kind must be one of activities, random-walk, csv; "
-                f"got {kind!r}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if not self.horizons or any(h < 1 for h in self.horizons):
-            raise ConfigError(f"horizons must all be >= 1, got {self.horizons}")
-        if len(set(self.horizons)) != len(self.horizons):
-            raise ConfigError(f"duplicate horizons: {self.horizons}")
-        bad = [m for m in self.models if m not in MODEL_CHOICES]
-        if bad or not self.models:
-            raise ConfigError(
-                f"models must be a non-empty subset of {MODEL_CHOICES}, "
-                f"got {self.models}")
+                f"horizons must be a non-empty list of distinct ints, got {self.horizons}")
+        if not self.models or not set(self.models) <= set(MODEL_CHOICES):
+            raise ConfigError(f"models must be a non-empty subset of "
+                              f"{MODEL_CHOICES}, got {self.models}")
         if self.train_series_index < 0:
             raise ConfigError(
                 f"train_series_index must be >= 0, got {self.train_series_index}")
-        if self.report_units not in ("normalized", "raw"):
-            raise ConfigError(
-                f"report_units must be 'normalized' or 'raw', got "
-                f"{self.report_units!r}")
         if self.plot_points < 1 or self.plot_stride < 1:
             raise ConfigError("plot_points and plot_stride must be >= 1")
+        # The training and windowing settings are checked by their owners.
+        try:
+            self.train_config()
+            AdamState(self.learning_rate, self.beta1, self.beta2, self.eps)
+            for horizon in self.horizons:
+                PartitionSpec(self.window, horizon, self.test_len)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                           seed=self.seed, units=self.units, shuffle=self.shuffle,
-                           learning_rate=self.learning_rate, beta1=self.beta1,
-                           beta2=self.beta2, eps=self.eps,
-                           grad_clip=self.grad_clip)
-
-
-@dataclass
-class RunManifest:
-    """Index of every artifact a `run` produced, written as manifest.json."""
-
-    version: str
-    seed: int
-    config: dict
-    out_dir: str
-    dataset_csv: str
-    checkpoints: dict
-    loss_histories: dict
-    reports: dict
-    plots: list
-    timings_seconds: dict
-    training: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 def generate_series(config: ExperimentConfig) -> list[Series]:
@@ -183,12 +213,8 @@ def generate_series(config: ExperimentConfig) -> list[Series]:
     spec = dict(config.dataset)
     kind = spec.pop("kind")
     if kind == "csv":
-        path = spec.pop("path")
-        return load_csv(path, date_column=bool(spec.pop("date_column", False)))
-    rng = Rng(config.seed)
-    if kind == "activities":
-        return gen_activities(rng, **spec)
-    return gen_random_walk(rng, **spec)
+        return load_csv(spec.pop("path"), **spec)
+    return GENERATORS[kind](Rng(config.seed), **spec)
 
 
 def _load(config: ExperimentConfig) -> tuple[list[Series], list[Series]]:
@@ -497,7 +523,6 @@ def _run_stage(name: str, timings: dict):
 
 def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings = {}
     artifacts = {}
     t_total = time.perf_counter()
@@ -510,20 +535,11 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
         artifacts.update(stage_evaluate(config, series, sources, quiet, plot=True))
     timings["total"] = round(time.perf_counter() - t_total, 3)
 
-    manifest = RunManifest(
-        version=__version__,
-        seed=config.seed,
-        config=config.to_dict(),
-        out_dir=str(out),
-        dataset_csv=artifacts["dataset_csv"],
-        checkpoints=artifacts.get("checkpoints", {}),
-        loss_histories=artifacts.get("loss_histories", {}),
-        reports=artifacts.get("reports", {}),
-        plots=artifacts.get("plots", []),
-        timings_seconds=timings,
-        training=artifacts.get("training", {}),
-    )
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    manifest = {"version": __version__, "seed": config.seed,
+                "config": config.to_dict(), "out_dir": str(out),
+                "timings_seconds": timings, **artifacts}
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _say(quiet, f"run complete in {timings['total']:.1f}s; manifest at "
                 f"{out / 'manifest.json'}")
     return {"manifest": "manifest.json", **artifacts}
@@ -533,50 +549,44 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
-def _int_list(text: str) -> list:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+def _comma_list(item_type):
+    """An argparse type: comma-separated `item_type` values as a list."""
+    def parse(text: str) -> list:
+        try:
+            return [item_type(part.strip()) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {item_type.__name__}s, got {text!r}")
+    return parse
 
 
-def _str_list(text: str) -> list:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _generator_flags(parser: argparse.ArgumentParser, names) -> None:
+    """Add the GENERATOR_FLAGS `names`, typed like their parameters."""
+    types = {param: t for kind in GENERATORS for param, t in GENERATOR_PARAMS[kind].items()}
+    for name in names:
+        param, help_text = GENERATOR_FLAGS[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=types[param], help=help_text)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON experiment config to start from")
-    parser.add_argument("--seed", type=int, help="master RNG seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    parser.add_argument("--dataset", choices=("activities", "random-walk"),
+    parser.add_argument("--dataset", choices=tuple(GENERATORS),
                         help="use a generator as the data source")
     parser.add_argument("--data", help="use a CSV file as the data source")
     parser.add_argument("--date-column", action="store_true",
                         help="first CSV column is a date/label to skip")
-    parser.add_argument("--length", type=int, help="generator series length")
-    parser.add_argument("--series", type=int, help="generator series count")
-    parser.add_argument("--window", type=int, help="input window length")
-    parser.add_argument("--horizons", type=_int_list,
-                        help="comma-separated forecast horizons, e.g. 1,20")
-    parser.add_argument("--test-len", type=int, help="held-out tail length")
-    parser.add_argument("--models", type=_str_list,
-                        help="comma-separated subset of lstm,gru,baseline")
-    parser.add_argument("--train-series-index", type=int,
-                        help="which series to train on")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--units", type=int)
-    parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--grad-clip", type=float)
-    parser.add_argument("--no-shuffle", action="store_true",
-                        help="keep sample order fixed across epochs")
-    parser.add_argument("--report-units", choices=("normalized", "raw"))
-    parser.add_argument("--fit-bounds-on-train", action="store_true",
-                        help="fit normalization bounds on the training region only")
-    parser.add_argument("--plot-points", type=int)
-    parser.add_argument("--plot-stride", type=int,
-                        help="origin spacing for multi-step forecast fans")
+    _generator_flags(parser, ("length", "series"))
+    hints = get_type_hints(ExperimentConfig)
+    for f in [f for f in fields(ExperimentConfig) if "flag" in f.metadata]:
+        kwargs = {k: v for k, v in f.metadata.items() if k != "flag"}
+        hint = hints[f.name]
+        if hint is bool:  # the flag flips the default
+            kwargs.update(action="store_const", const=not f.default)
+        elif get_origin(hint) is list:
+            kwargs["type"] = _comma_list(get_args(hint)[0])
+        else:  # int, float, str or `float | None`
+            kwargs["type"] = get_args(hint)[0] if get_origin(hint) is UnionType else hint
+        parser.add_argument(f.metadata["flag"], dest=f.name, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,25 +596,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset as CSV")
-    gen.add_argument("kind", choices=("activities", "random-walk"))
+    gen.add_argument("kind", choices=tuple(GENERATORS))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="dataset.csv", help="output CSV path")
-    gen.add_argument("--quiet", action="store_true")
-    gen.add_argument("--series", type=int, help="number of series")
-    gen.add_argument("--length", type=int, help="samples per series")
-    gen.add_argument("--samples-per-day", type=int)
-    gen.add_argument("--high", type=float, help="high-activity level")
-    gen.add_argument("--low", type=float, help="low-activity level")
-    gen.add_argument("--noise-sd", type=float)
-    gen.add_argument("--jitter", type=float, help="per-day amplitude jitter")
-    gen.add_argument("--start", type=float, help="random-walk start value")
-    gen.add_argument("--step-sd", type=float, help="random-walk step spread")
+    _generator_flags(gen, GENERATOR_FLAGS)
 
     for name, help_text in (("train", "fit models, write checkpoints"),
                             ("evaluate", "score models on every series"),
                             ("plot", "write SVG/CSV forecast charts"),
                             ("run", "generate, train, evaluate, and plot")):
         _common_flags(sub.add_parser(name, help=help_text))
+    for command in sub.choices.values():
+        command.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
 
@@ -618,34 +621,21 @@ def _config_from_args(args) -> ExperimentConfig:
             raise ConfigError(f"{args.config}: not valid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-    config = ExperimentConfig.from_dict(data)
 
     if args.data is not None and args.dataset is not None:
         raise ConfigError("--data and --dataset are mutually exclusive")
     if args.data is not None:
-        config.dataset = {"kind": "csv", "path": args.data}
+        data["dataset"] = {"kind": "csv", "path": args.data}
         if args.date_column:
-            config.dataset["date_column"] = True
+            data["dataset"]["date_column"] = True
     elif args.dataset is not None:
-        config.dataset = {"kind": args.dataset}
+        data["dataset"] = {"kind": args.dataset}
+    for f in fields(ExperimentConfig):
+        if "flag" in f.metadata and getattr(args, f.name) is not None:
+            data[f.name] = getattr(args, f.name)
+    config = ExperimentConfig.from_dict(data)  # the file with the flags applied
+    # Generator flags are typed by argparse; the generator checks their range.
     config.dataset.update(_generator_params(args, config.dataset["kind"]))
-
-    simple = {"seed": "seed", "out": "out_dir", "window": "window",
-              "horizons": "horizons", "test_len": "test_len", "models": "models",
-              "train_series_index": "train_series_index", "epochs": "epochs",
-              "batch_size": "batch_size", "units": "units",
-              "learning_rate": "learning_rate", "grad_clip": "grad_clip",
-              "report_units": "report_units", "plot_points": "plot_points",
-              "plot_stride": "plot_stride"}
-    for arg_name, field_name in simple.items():
-        value = getattr(args, arg_name)
-        if value is not None:
-            setattr(config, field_name, value)
-    if args.no_shuffle:
-        config.shuffle = False
-    if args.fit_bounds_on_train:
-        config.fit_bounds_on_train = True
-    config.validate()
     return config
 
 
@@ -653,11 +643,11 @@ def _generator_params(args, kind: str) -> dict:
     """The generator parameters that the GENERATOR_FLAGS among `args` set;
     a flag the `kind` data source does not take is an error."""
     params = {}
-    for flag, param in GENERATOR_FLAGS.items():
+    for flag, (param, _) in GENERATOR_FLAGS.items():
         value = getattr(args, flag, None)
         if value is None:
             continue
-        if param not in GENERATOR_PARAMS.get(kind, ()):
+        if param not in GENERATOR_PARAMS[kind]:
             raise ConfigError(f"--{flag.replace('_', '-')} does not apply to {kind} data")
         params[param] = value
     return params

@@ -219,9 +219,10 @@ def gen_random_walk(rng: Rng, n_series: int = 10, length: int = 3032,
 def load_csv(path, *, date_column: bool = False) -> list[Series]:
     """Read a wide CSV: header row of series names, one sample per row.
 
-    With date_column=True the first column is skipped (dates/labels).
+    With date_column=True the first column is skipped (dates/labels). Names
+    name files, so must be unique, non-empty and free of path separators.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -232,6 +233,12 @@ def load_csv(path, *, date_column: bool = False) -> list[Series]:
         if not header:
             raise ParseError(f"{path}: header row has no series columns")
         names = [h.strip() for h in header]
+        seen = set()
+        for name in names:
+            if not name or "/" in name or "\\" in name or name in seen:
+                raise ParseError(f"{path}: series name {name!r} is empty, repeats "
+                                 f"or contains a path separator")
+            seen.add(name)
         columns: list[list[float]] = [[] for _ in names]
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -108,7 +108,7 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     Returns the pre-clip norm.
     """
     if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
+        raise ValueError(f"gradient clip norm must be positive, got {max_norm}")
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
@@ -143,6 +143,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.units < 1:
             raise ValueError(f"units must be >= 1, got {self.units}")
+        if self.grad_clip is not None:
+            clip_gradients({}, self.grad_clip)  # checks the bound, clips nothing
 
 
 @dataclass

@@ -8,6 +8,7 @@ import json
 import os
 import struct
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +16,8 @@ import pytest
 
 from rnncast import __version__, cli
 from rnncast.cells import ModelState, init_model
-from rnncast.cli import (ConfigError, ExperimentConfig, _config_from_args,
+from rnncast.cli import (GENERATOR_FLAGS, GENERATOR_PARAMS, GENERATORS,
+                         ConfigError, ExperimentConfig, _config_from_args,
                          build_parser, main)
 from rnncast.dataprep import (PartitionSpec, Series, gen_random_walk, load_csv,
                               normalize, save_csv)
@@ -70,6 +72,22 @@ class TestConfig:
         {"models": ["svm"]}, {"models": []}, {"report_units": "percent"},
         {"window": 0}, {"train_series_index": -1},
         {"dataset": {"kind": "parquet"}},
+        # Types, checked against each field's annotation.
+        {"window": "60"}, {"horizons": 5}, {"horizons": [1, "20"]},
+        {"models": ["lstm", 1]}, {"units": 2.5}, {"seed": 1.5}, {"seed": True},
+        {"shuffle": "no"}, {"learning_rate": "0.01"}, {"grad_clip": False},
+        {"dataset": "activities"},
+        {"dataset": {"kind": "activities", "length": "500"}},
+        {"dataset": {"kind": "random-walk", "start": None}},
+        # csv keys, checked like generator parameters.
+        {"dataset": {"kind": "csv", "path": "x.csv", "date_column": "no"}},
+        {"dataset": {"kind": "csv", "path": 5}},
+        {"dataset": {"kind": "csv", "path": "x.csv", "lenght": 500}},
+        {"dataset": {"kind": "csv"}},
+        # Values that TrainConfig, AdamState and PartitionSpec reject.
+        {"epochs": 0}, {"batch_size": 0}, {"units": 0}, {"learning_rate": -1},
+        {"grad_clip": 0}, {"beta1": 1.0}, {"eps": 0.0}, {"test_len": 0},
+        {"test_len": 19},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -77,13 +95,43 @@ class TestConfig:
 
     def test_flags_override_config_file(self, tmp_path):
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps({"epochs": 99, "units": 7, "seed": 1}))
+        path.write_text(json.dumps({"epochs": 99, "units": 7, "seed": 1,
+                                    "test_len": 10}))
         args = build_parser().parse_args(
-            ["train", "--config", str(path), "--epochs", "3"])
+            ["train", "--config", str(path), "--epochs", "3", "--horizons", "1"])
         cfg = _config_from_args(args)
         assert cfg.epochs == 3   # flag wins
         assert cfg.units == 7    # file survives
         assert cfg.seed == 1
+        assert cfg.test_len == 10  # checked against the flags' horizons, not the file's
+
+    @pytest.mark.parametrize("f", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_each_flagged_field_is_set_by_exactly_its_flag(self, f):
+        json_only = {"dataset", "beta1", "beta2", "eps"}
+        assert ("flag" in f.metadata) == (f.name not in json_only)
+        if f.name in json_only:
+            return
+        default = getattr(ExperimentConfig(), f.name)
+        samples = {"int": ("300", 300), "float": ("0.5", 0.5),
+                   "float | None": ("0.5", 0.5), "str": ("elsewhere", "elsewhere"),
+                   "list[int]": ("2,3", [2, 3]), "list[str]": ("gru", ["gru"])}
+        if f.type == "bool":
+            argv, want = [f.metadata["flag"]], not default
+        elif "choices" in f.metadata:
+            want = next(c for c in f.metadata["choices"] if c != default)
+            argv = [f.metadata["flag"], want]
+        else:
+            text, want = samples[f.type]
+            argv = [f.metadata["flag"], text]
+        cfg = _config_from_args(build_parser().parse_args(["train", *argv]))
+        assert getattr(cfg, f.name) == want != default
+        cfg_dict, default_dict = cfg.to_dict(), ExperimentConfig().to_dict()
+        assert {k for k in cfg_dict if cfg_dict[k] != default_dict[k]} == {f.name}
+
+    def test_every_generator_parameter_has_exactly_one_flag(self):
+        flagged = [param for param, _ in GENERATOR_FLAGS.values()]
+        generated = {p for kind in GENERATORS for p in GENERATOR_PARAMS[kind]}
+        assert sorted(flagged) == sorted(generated)
 
     def test_data_and_dataset_flags_conflict(self):
         args = build_parser().parse_args(
@@ -147,6 +195,18 @@ class TestTrain:
         rc = main(["train", *DESK_FLAGS, "--train-series-index", "99",
                    "--out", str(tmp_path), "--quiet"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--epochs", "0"], ["--units", "0"], ["--batch-size", "0"],
+        ["--test-len", "0"], ["--learning-rate", "-1"], ["--grad-clip", "0"],
+    ])
+    def test_bad_training_value_exits_2_before_any_write(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(["run", *DESK_FLAGS, *argv, "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_divergence_exits_3(self, tmp_path):
         rc = main(["train", *DESK_FLAGS, "--learning-rate", "1e200",
@@ -403,6 +463,23 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: generate stage failed: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("header", [
+        "a,a", "\ufeffa,a", "a,", "a, ", "a/b,c", "a\\b,c",
+    ], ids=["duplicate", "bom duplicate", "empty", "blank", "slash", "backslash"])
+    def test_bad_series_names_exit_2_before_training(self, tmp_path, capsys, header):
+        data = tmp_path / "names.csv"
+        rows = "\n".join(f"{i}.0,{i % 7}.0" for i in range(120))
+        data.write_text(f"{header}\n{rows}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["run", "--data", str(data), "--window", "8", "--horizons", "1",
+                   "--test-len", "20", "--epochs", "1", "--units", "2",
+                   "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generate stage failed: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
