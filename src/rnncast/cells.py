@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .numkit import NumericError, Rng, ShapeError
 
@@ -271,6 +270,12 @@ def dense_forward(head: DenseParams, hidden) -> np.ndarray:
 # every step. The public single-window ops above are the B=1 case of these.
 # ---------------------------------------------------------------------------
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)): exactly 0.0, with no warning, where exp(-a) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a))
+
+
 def _lstm_steps(params: LstmParams, xs: np.ndarray):
     """Yield (i, f, o, g, tanh_c, c, h) for each step, from zero state."""
     B, T = xs.shape
@@ -278,9 +283,9 @@ def _lstm_steps(params: LstmParams, xs: np.ndarray):
     c = np.zeros((B, params.units))
     for t in range(T):
         x = xs[:, t:t + 1]
-        i = expit(x * params.w_i + h @ params.u_i.T + params.b_i)
-        f = expit(x * params.w_f + h @ params.u_f.T + params.b_f)
-        o = expit(x * params.w_o + h @ params.u_o.T + params.b_o)
+        i = _sigmoid(x * params.w_i + h @ params.u_i.T + params.b_i)
+        f = _sigmoid(x * params.w_f + h @ params.u_f.T + params.b_f)
+        o = _sigmoid(x * params.w_o + h @ params.u_o.T + params.b_o)
         g = np.tanh(x * params.w_g + h @ params.u_g.T + params.b_g)
         c = f * c + i * g
         tc = np.tanh(c)
@@ -294,8 +299,8 @@ def _gru_steps(params: GruParams, xs: np.ndarray):
     h = np.zeros((B, params.units))
     for t in range(T):
         x = xs[:, t:t + 1]
-        z = expit(x * params.w_z + h @ params.u_z.T + params.b_z)
-        r = expit(x * params.w_r + h @ params.u_r.T + params.b_r)
+        z = _sigmoid(x * params.w_z + h @ params.u_z.T + params.b_z)
+        r = _sigmoid(x * params.w_r + h @ params.u_r.T + params.b_r)
         rh = r * h
         n = np.tanh(x * params.w_n + rh @ params.u_n.T + params.b_n)
         h = (1.0 - z) * n + z * h

@@ -220,6 +220,10 @@ def generate_series(config: ExperimentConfig) -> list[Series]:
 def _load(config: ExperimentConfig) -> tuple[list[Series], list[Series]]:
     """The configured series, raw and normalized: a command's one data pass."""
     series = generate_series(config)
+    if config.train_series_index >= len(series):
+        raise ConfigError(
+            f"train_series_index {config.train_series_index} out of range: "
+            f"dataset has {len(series)} series")
     fit = config.fit_bounds_on_train
     return series, [normalize(s, fit_len=len(s) - config.test_len if fit else None,
                               degenerate_to_half=True) for s in series]
@@ -327,10 +331,6 @@ def _train_in_workers(pairs: list, source: Series, config: ExperimentConfig,
 
 
 def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool) -> dict:
-    if config.train_series_index >= len(sources):
-        raise ConfigError(
-            f"train_series_index {config.train_series_index} out of range: "
-            f"dataset has {len(sources)} series")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     source = sources[config.train_series_index]
@@ -626,16 +626,19 @@ def _config_from_args(args) -> ExperimentConfig:
         raise ConfigError("--data and --dataset are mutually exclusive")
     if args.data is not None:
         data["dataset"] = {"kind": "csv", "path": args.data}
-        if args.date_column:
-            data["dataset"]["date_column"] = True
     elif args.dataset is not None:
         data["dataset"] = {"kind": args.dataset}
     for f in fields(ExperimentConfig):
         if "flag" in f.metadata and getattr(args, f.name) is not None:
             data[f.name] = getattr(args, f.name)
     config = ExperimentConfig.from_dict(data)  # the file with the flags applied
+    kind = config.dataset["kind"]
+    if args.date_column:
+        if kind != "csv":
+            raise ConfigError(f"--date-column does not apply to {kind} data")
+        config.dataset["date_column"] = True
     # Generator flags are typed by argparse; the generator checks their range.
-    config.dataset.update(_generator_params(args, config.dataset["kind"]))
+    config.dataset.update(_generator_params(args, kind))
     return config
 
 

@@ -6,6 +6,10 @@ checked against central finite differences.
 """
 
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -358,3 +362,31 @@ class TestForecast:
         state.zero_grads()
         for g in state.grad_tensors().values():
             npt.assert_array_equal(g, np.zeros_like(g))
+
+
+class TestSigmoid:
+    def test_matches_reciprocal_formula(self):
+        x = np.random.default_rng(71).normal(0.0, 4.0, size=10_000)
+        npt.assert_array_equal(cells._sigmoid(x), 1.0 / (1.0 + np.exp(-x)))
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cells._sigmoid(np.array([-800.0, 800.0]))
+        assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_step_generator_leaves_float_error_state_alone(self):
+        before = np.geterr()
+        steps = cells._lstm_steps(make_state("lstm").cell, np.full((1, 5), 1e3))
+        next(steps)  # suspended mid-loop: the caller runs under its own state
+        assert np.geterr() == before
+
+    def test_package_import_loads_no_dependency_but_numpy(self):
+        code = ("import sys; before = set(sys.modules); import rnncast, rnncast.cli; "
+                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                " - set(sys.stdlib_module_names)))")
+        src = os.path.dirname(os.path.dirname(cells.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "['numpy', 'rnncast']"

@@ -158,13 +158,13 @@ class TestGenerate:
         assert len(series) == 10
         assert all(len(s) == 120 for s in series)
 
-    @pytest.mark.parametrize("argv", [
-        ["generate", "activities", "--start", "5"],
-        ["generate", "random-walk", "--jitter", "0.1"],
-        ["run", "--data", "x.csv", "--length", "64"],
-    ])
-    def test_flag_for_another_data_source_exits_2(self, tmp_path, capsys, argv):
-        flag = argv[-2]
+    @pytest.mark.parametrize("argv,flag", [
+        (["generate", "activities", "--start", "5"], "--start"),
+        (["generate", "random-walk", "--jitter", "0.1"], "--jitter"),
+        (["run", "--data", "x.csv", "--length", "64"], "--length"),
+        (["run", "--dataset", "activities", "--date-column"], "--date-column"),
+    ], ids=[f"argv{k}" for k in range(4)])
+    def test_flag_for_another_data_source_exits_2(self, tmp_path, capsys, argv, flag):
         rc = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -195,6 +195,16 @@ class TestTrain:
         rc = main(["train", *DESK_FLAGS, "--train-series-index", "99",
                    "--out", str(tmp_path), "--quiet"])
         assert rc == 2
+
+    def test_out_of_range_series_index_exits_2_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", *DESK_FLAGS, "--series", "2", "--train-series-index", "5",
+                   "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "train_series_index 5 out of range: dataset has 2 series" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--epochs", "0"], ["--units", "0"], ["--batch-size", "0"],
