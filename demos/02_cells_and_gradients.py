@@ -1,13 +1,14 @@
-"""Open the box on the recurrent cells: run one tiny LSTM step by hand and
+"""Open the box on the recurrent cells: run one tiny LSTM forecast by hand and
 check a backpropagated gradient against finite differences.
 
 The point of this demo is that nothing is hidden behind a framework -- the
 whole forward pass is a handful of sigmoid/tanh lines you can re-do on paper.
+The library takes a stack of windows, so one window goes in as a batch of one.
 """
 
 import numpy as np
 
-from rnncast.cells import backward, gru_forward, init_model, lstm_forward
+from rnncast.cells import backward_batch, init_model
 from rnncast.numkit import Rng
 
 rng = Rng(7)
@@ -15,8 +16,8 @@ state = init_model("lstm", units=3, window=4, horizon=1, rng=rng)
 cell = state.cell
 
 window = np.array([0.5, -0.2, 0.8, 0.1])
-trace = lstm_forward(cell, window)
-print("library hidden state after 4 steps:", np.round(trace.final_hidden, 6))
+forecast = state.forecast(window[None, :])[0]
+print("library forecast after 4 steps:", np.round(forecast, 6))
 
 # Same thing by hand, straight from the gate equations.  h and c start at 0.
 def sig(a):
@@ -31,18 +32,20 @@ for x in window:
     g = np.tanh(x * cell.w_g + cell.u_g @ h + cell.b_g)
     c = f * c + i * g
     h = o * np.tanh(c)
-print("hand-rolled hidden state:          ", np.round(h, 6))
-print("max difference:", np.abs(h - trace.final_hidden).max())
+print("hand-rolled hidden state:      ", np.round(h, 6))
+by_hand = state.head.weight @ h + state.head.bias
+print("hand-rolled forecast (head):   ", np.round(by_hand, 6))
+print("max difference:", np.abs(by_hand - forecast).max())
+assert np.allclose(by_hand, forecast, rtol=1e-12, atol=1e-15)
 
 # The GRU keeps a single state vector; its update gate z blends old and new.
 gru = init_model("gru", units=3, window=4, horizon=1, rng=Rng(7))
-print("\nGRU final hidden:", np.round(gru_forward(gru.cell, window).final_hidden, 6))
+print("\nGRU forecast:", np.round(gru.forecast(window[None, :])[0], 6))
 
 # Gradient check: nudge one recurrent weight of the forget gate up and down,
 # and compare the slope of the loss with what backpropagation reported.
 target = np.array([0.3])
-state.zero_grads()
-loss = backward(state, window, target)
+loss = backward_batch(state, window[None, :], target[None, :])
 analytic = state.cell_grads.u_f[1, 2]
 
 eps = 1e-6
@@ -56,4 +59,6 @@ state.cell.u_f[1, 2] = keep
 numeric = (hi - lo) / (2 * eps)
 print(f"\nloss {loss:.6f}")
 print(f"dL/d u_f[1,2]: backprop {analytic:+.8f}, finite difference {numeric:+.8f}")
-print(f"relative error {abs(analytic - numeric) / max(abs(numeric), 1e-12):.2e}")
+rel = abs(analytic - numeric) / max(abs(numeric), 1e-12)
+print(f"relative error {rel:.2e}")
+assert rel < 1e-4

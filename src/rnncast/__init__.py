@@ -3,7 +3,7 @@
 Subpackage map:
 
 - ``numkit``   : error types + SplitMix64 RNG
-- ``cells``    : LSTM/GRU forward passes, hand-derived BPTT, dense head
+- ``cells``    : batched LSTM/GRU forecast, hand-derived BPTT, dense head
 - ``training`` : MSE loss, Adam, the training loop, checkpoint files
 - ``dataprep`` : normalization, windowing, synthetic generators, CSV I/O
 - ``evalkit``  : persistence baseline, RMSE, directional accuracy, reports

@@ -22,12 +22,13 @@ recurrent term of the candidate):
 Head: prediction = weight @ h_last + bias, linear (forecasts live in
 normalized space but are never clamped).
 
-The batched internals carry a whole stack of windows at once, shape
-(batch, window); gradients are exact means of per-sample gradients. The
-loss is MSE averaged over horizon steps, matching the gradient of
-(1/horizon) * sum((pred - target)^2) per sample. Each cell's equations
-exist once, in a step generator that serves both `forecast` and training,
-and once more, differentiated, in its backward pass.
+The API is batched only: `ModelState.forecast` and `backward_batch` take a
+stack of windows, shape (batch, window), and a single window is the batch
+of one, `window[None, :]`. Gradients are exact means of per-sample
+gradients. The loss is MSE averaged over horizon steps, matching the
+gradient of (1/horizon) * sum((pred - target)^2) per sample. Each cell's
+equations exist once, in a step generator that serves both `forecast` and
+training, and once more, differentiated, in its backward pass.
 """
 
 from __future__ import annotations
@@ -207,67 +208,11 @@ def init_model(kind: str, units: int, window: int, horizon: int, rng: Rng) -> Mo
                       units=units, window=window, horizon=horizon)
 
 
-def _as_window_batch(window) -> np.ndarray:
-    xs = np.asarray(window, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape[0] < 1:
-        raise ShapeError(f"window must be a non-empty 1-D sequence, got shape {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise NumericError("window contains non-finite values")
-    return xs[None, :]
-
-
-@dataclass
-class LstmTrace:
-    """Per-step activations of one window, needed by the backward pass."""
-
-    hidden: np.ndarray  # (w, units): h_1 .. h_w
-    cell: np.ndarray    # (w, units): c_1 .. c_w
-
-    @property
-    def final_hidden(self) -> np.ndarray:
-        return self.hidden[-1]
-
-
-@dataclass
-class GruTrace:
-    hidden: np.ndarray  # (w, units): h_1 .. h_w
-
-    @property
-    def final_hidden(self) -> np.ndarray:
-        return self.hidden[-1]
-
-
-def lstm_forward(params: LstmParams, window) -> LstmTrace:
-    """Run one window through the LSTM from zero state, keeping full traces."""
-    xs = _as_window_batch(window)
-    tr = _forward_traced("lstm", params, xs)
-    return LstmTrace(hidden=tr["h"][1:, 0, :].copy(), cell=tr["c"][1:, 0, :].copy())
-
-
-def gru_forward(params: GruParams, window) -> GruTrace:
-    """Run one window through the GRU from zero state, keeping full traces."""
-    xs = _as_window_batch(window)
-    tr = _forward_traced("gru", params, xs)
-    return GruTrace(hidden=tr["h"][1:, 0, :].copy())
-
-
-def dense_forward(head: DenseParams, hidden) -> np.ndarray:
-    """Linear map weight @ hidden + bias; no activation."""
-    h = np.asarray(hidden, dtype=np.float64)
-    if h.ndim != 1 or h.shape[0] != head.weight.shape[1]:
-        raise ShapeError(
-            f"dense_forward: expected hidden of shape ({head.weight.shape[1]},), got {h.shape}")
-    out = head.weight @ h + head.bias
-    if not np.isfinite(out).all():
-        raise NumericError("dense_forward: non-finite output")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Batched internals. Shapes: xs (B, T); gates and states (B, U) per step,
-# stacked to (T, B, U) in the traces. One step generator per cell serves
-# both `forecast`, which keeps only the last h, and training, which traces
-# every step. The public single-window ops above are the B=1 case of these.
+# Step generators and BPTT. Shapes: xs (B, T); gates and states (B, U) per
+# step, stacked to (T, B, U) in the traces. One step generator per cell
+# serves both `forecast`, which keeps only the last h, and training, which
+# traces every step.
 # ---------------------------------------------------------------------------
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -291,6 +236,7 @@ def _lstm_steps(params: LstmParams, xs: np.ndarray):
         tc = np.tanh(c)
         h = o * tc
         yield i, f, o, g, tc, c, h
+        del tc  # frees tanh(c) while the next step is computed
 
 
 def _gru_steps(params: GruParams, xs: np.ndarray):
@@ -419,13 +365,3 @@ def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray) -
     _BACKWARDS[state.kind](state.cell, state.cell_grads, xs, dh, tr)
     return loss
 
-
-def backward(state: ModelState, window, target) -> float:
-    """Loss and gradients for a single (window, target) sample."""
-    xs = np.asarray(window, dtype=np.float64)
-    ys = np.asarray(target, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape[0] != state.window:
-        raise ShapeError(f"backward: expected window of length {state.window}, got shape {xs.shape}")
-    if ys.ndim != 1 or ys.shape[0] != state.horizon:
-        raise ShapeError(f"backward: expected target of length {state.horizon}, got shape {ys.shape}")
-    return backward_batch(state, xs[None, :], ys[None, :])

@@ -225,8 +225,8 @@ def _load(config: ExperimentConfig) -> tuple[list[Series], list[Series]]:
             f"train_series_index {config.train_series_index} out of range: "
             f"dataset has {len(series)} series")
     fit = config.fit_bounds_on_train
-    return series, [normalize(s, fit_len=len(s) - config.test_len if fit else None,
-                              degenerate_to_half=True) for s in series]
+    return series, [normalize(s, fit_len=len(s) - config.test_len if fit else None)
+                    for s in series]
 
 
 def _pair_name(model: str, horizon: int) -> str:

@@ -11,6 +11,8 @@ Normalization is min-max over the full series by default, with the bounds
 recorded on the result so forecasts can be mapped back to raw units.
 Passing `fit_len` restricts the bound fit to a leading slice (e.g. the
 training region) for callers who want to avoid peeking at test values.
+A series that is constant over the fitted slice has no range to scale by:
+it maps to 0.5 throughout and records equal bounds.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .numkit import Rng
-
-
-class DegenerateSeriesError(ValueError):
-    """Raised when a series has zero range and cannot be min-max scaled."""
 
 
 class ParseError(ValueError):
@@ -77,14 +75,12 @@ class WindowedDataset:
 
     origins[i] is the source index of the first input sample of row i, so
     window i spans [origins[i], origins[i]+window) and its target follows
-    immediately. The source name and normalization bounds ride along for
-    checkpointing and denormalized reporting.
+    immediately. The normalization bounds ride along for checkpointing.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     origins: np.ndarray
-    series_name: str = ""
     raw_min: float | None = None
     raw_max: float | None = None
 
@@ -100,18 +96,15 @@ class WindowedDataset:
         return self.targets.shape[1]
 
 
-def normalize(series: Series, *, fit_len: int | None = None,
-              degenerate_to_half: bool = False) -> Series:
-    """Min-max scale to [0, 1], recording the fitted bounds on the result."""
+def normalize(series: Series, *, fit_len: int | None = None) -> Series:
+    """Min-max scale to [0, 1], recording the fitted bounds on the result;
+    a series constant over the fit maps to 0.5 throughout."""
     fit = series.values if fit_len is None else series.values[:fit_len]
     if fit.shape[0] < 2:
         raise ValueError(f"fit_len={fit_len} leaves fewer than 2 samples to fit bounds")
     lo = float(fit.min())
     hi = float(fit.max())
     if hi == lo:
-        if not degenerate_to_half:
-            raise DegenerateSeriesError(
-                f"series {series.name!r} is constant ({lo}); cannot min-max scale")
         return Series(series.name, np.full_like(series.values, 0.5), lo, hi)
     scaled = (series.values - lo) / (hi - lo)
     return Series(series.name, scaled, lo, hi)
@@ -152,7 +145,6 @@ def make_windows(series: Series, spec: PartitionSpec, region: str) -> WindowedDa
         inputs=in_view[starts].copy(),
         targets=tgt_view[starts + w].copy(),
         origins=starts,
-        series_name=series.name,
         raw_min=series.raw_min,
         raw_max=series.raw_max,
     )

@@ -33,16 +33,13 @@ class ForecastSet:
     """Aligned predictions and actuals over a contiguous run of test origins.
 
     last_inputs[i] is the final observed sample of window i — the reference
-    for step-1 direction. Bounds ride along when known so the same set can
-    be reported in raw units.
+    for step-1 direction.
     """
 
     predicted: np.ndarray   # (n, horizon)
     actual: np.ndarray      # (n, horizon)
     last_inputs: np.ndarray  # (n,)
     origins: np.ndarray     # (n,)
-    raw_min: float | None = None
-    raw_max: float | None = None
 
     def __post_init__(self):
         self.predicted = np.asarray(self.predicted, dtype=np.float64)
@@ -131,8 +128,7 @@ def evaluate(forecaster, series: Series, spec: PartitionSpec,
         actual = denormalize(actual, bounds)
         last_inputs = denormalize(last_inputs, bounds)
     fs = ForecastSet(predicted=predicted, actual=actual, last_inputs=last_inputs,
-                     origins=ds.origins, raw_min=series.raw_min,
-                     raw_max=series.raw_max)
+                     origins=ds.origins)
     return fs, rmse(fs), directional_accuracy(fs)
 
 

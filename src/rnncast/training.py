@@ -155,11 +155,6 @@ class Checkpoint:
     raw_min: float | None
     raw_max: float | None
     config: dict
-    version: int = CHECKPOINT_VERSION
-
-    @property
-    def kind(self) -> str:
-        return self.model.kind
 
 
 def train(kind: str, dataset: WindowedDataset, config: TrainConfig,
@@ -320,4 +315,4 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(model=model,
                       raw_min=raw_min if has_bounds else None,
                       raw_max=raw_max if has_bounds else None,
-                      config=config, version=version)
+                      config=config)

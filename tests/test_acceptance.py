@@ -24,8 +24,7 @@ import numpy as np
 import pytest
 
 from rnncast import cli
-from rnncast.cells import (CELL_KINDS, backward_batch, dense_forward,
-                           gru_forward, init_model, lstm_forward)
+from rnncast.cells import CELL_KINDS, backward_batch, init_model
 from rnncast.dataprep import (PartitionSpec, Series, gen_activities,
                               gen_random_walk, make_windows, normalize)
 from rnncast.evalkit import (ForecastSet, PersistenceBaseline, SeriesResult,
@@ -58,15 +57,10 @@ def _verdict(number: int, ok: bool, detail: str) -> bool:
 
 def _batch_loss(state, xs, ys):
     """Forward-only copy of the training loss: mean over samples of the
-    per-sample horizon-averaged squared error, built from the public
-    single-window ops rather than the batched training path."""
-    forward = lstm_forward if state.kind == "lstm" else gru_forward
-    total = 0.0
-    for i in range(xs.shape[0]):
-        hidden = forward(state.cell, xs[i]).final_hidden
-        preds = dense_forward(state.head, hidden)
-        total += float(((preds - ys[i]) ** 2).sum())
-    return total / (ys.shape[1] * ys.shape[0])
+    per-sample horizon-averaged squared error, built from `forecast`
+    rather than the traced forward that training runs."""
+    preds = state.forecast(xs)
+    return float(((preds - ys) ** 2).sum()) / (ys.shape[1] * ys.shape[0])
 
 
 def _finite_diff(state, xs, ys, eps=1e-5):

@@ -16,9 +16,7 @@ import numpy.testing as npt
 import pytest
 
 from rnncast import cells
-from rnncast.cells import (DenseParams, GruParams, LstmParams,
-                           backward, backward_batch, dense_forward,
-                           gru_forward, init_model, lstm_forward)
+from rnncast.cells import GruParams, LstmParams, backward_batch, init_model
 from rnncast.numkit import NumericError, Rng, ShapeError
 
 
@@ -88,29 +86,38 @@ def make_state(kind, units=4, window=5, horizon=2, seed=11):
     return init_model(kind, units, window, horizon, Rng(seed))
 
 
+def trace(kind, params, xs):
+    """Hidden states h_1 .. h_w (w, units) of one window, and for an LSTM
+    its cell states c_1 .. c_w, read off the traced batch-of-one forward."""
+    tr = cells._forward_traced(kind, params, np.asarray(xs, dtype=np.float64)[None, :])
+    return tr["h"][1:, 0], tr["c"][1:, 0] if kind == "lstm" else None
+
+
 class TestForwardOracle:
     def test_lstm_matches_scalar_loops(self):
         state = make_state("lstm", units=3, window=6, seed=7)
         rng = np.random.default_rng(0)
         xs = rng.uniform(-1.5, 1.5, size=6)
-        trace = lstm_forward(state.cell, xs)
+        hidden, cell = trace("lstm", state.cell, xs)
         hs, cs = lstm_oracle(state.cell, xs)
-        npt.assert_allclose(trace.hidden, hs, rtol=1e-12, atol=1e-15)
-        npt.assert_allclose(trace.cell, cs, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(hidden, hs, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(cell, cs, rtol=1e-12, atol=1e-15)
 
     def test_gru_matches_scalar_loops(self):
         state = make_state("gru", units=3, window=6, seed=8)
         rng = np.random.default_rng(1)
         xs = rng.uniform(-1.5, 1.5, size=6)
-        trace = gru_forward(state.cell, xs)
+        hidden, _ = trace("gru", state.cell, xs)
         hs = gru_oracle(state.cell, xs)
-        npt.assert_allclose(trace.hidden, hs, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(hidden, hs, rtol=1e-12, atol=1e-15)
 
     def test_dense_matches_by_hand(self):
-        head = DenseParams(weight=np.array([[1.0, 2.0], [0.5, -1.0]]),
-                           bias=np.array([0.25, -0.25]))
-        out = dense_forward(head, np.array([3.0, -1.0]))
-        npt.assert_allclose(out, [1.0 * 3 + 2 * -1 + 0.25, 0.5 * 3 - 1 * -1 - 0.25])
+        state = make_state("lstm", units=3, window=6, horizon=2, seed=9)
+        xs = np.random.default_rng(2).uniform(-1.5, 1.5, size=6)
+        hs, _ = lstm_oracle(state.cell, xs)
+        npt.assert_allclose(state.forecast(xs[None, :])[0],
+                            state.head.weight @ hs[-1] + state.head.bias,
+                            rtol=1e-12, atol=1e-15)
 
 
 class TestForwardBehavior:
@@ -123,8 +130,8 @@ class TestForwardBehavior:
         lstm = LstmParams(z(), zz(), z(), z(), zz(), z(), z(), zz(), z(), z(), zz(), z())
         gru = GruParams(z(), zz(), z(), z(), zz(), z(), z(), zz(), z())
         xs = np.array([0.4, -1.2, 0.9])
-        npt.assert_array_equal(lstm_forward(lstm, xs).hidden, np.zeros((3, U)))
-        npt.assert_array_equal(gru_forward(gru, xs).hidden, np.zeros((3, U)))
+        npt.assert_array_equal(trace("lstm", lstm, xs)[0], np.zeros((3, U)))
+        npt.assert_array_equal(trace("gru", gru, xs)[0], np.zeros((3, U)))
 
     def test_lstm_saturated_gates_pass_input_through(self):
         # Open input/output gates, closed forget gate: h_t -> tanh(tanh(x_t)).
@@ -139,10 +146,10 @@ class TestForwardBehavior:
             w_g=np.ones(U), u_g=zz(), b_g=z(),
         )
         xs = np.array([0.3, -0.7, 1.1])
-        trace = lstm_forward(params, xs)
+        hidden, _ = trace("lstm", params, xs)
         expected = np.tanh(np.tanh(xs))
         for t in range(3):
-            npt.assert_allclose(trace.hidden[t], np.full(U, expected[t]), atol=1e-12)
+            npt.assert_allclose(hidden[t], np.full(U, expected[t]), atol=1e-12)
 
     def test_gru_saturated_update_gate_freezes_state(self):
         # z ~= 1 copies the previous hidden state forever, so h stays at 0.
@@ -154,8 +161,8 @@ class TestForwardBehavior:
             w_r=z(), u_r=zz(), b_r=z(),
             w_n=np.ones(U), u_n=zz(), b_n=z(),
         )
-        trace = gru_forward(params, np.array([2.0, -3.0, 1.0, 4.0]))
-        npt.assert_allclose(trace.hidden, np.zeros((4, U)), atol=1e-12)
+        hidden, _ = trace("gru", params, np.array([2.0, -3.0, 1.0, 4.0]))
+        npt.assert_allclose(hidden, np.zeros((4, U)), atol=1e-12)
 
     def test_gru_open_update_gate_tracks_candidate(self):
         # z ~= 0 replaces the state with the candidate: h_t -> tanh(x_t).
@@ -168,9 +175,9 @@ class TestForwardBehavior:
             w_n=np.ones(U), u_n=zz(), b_n=z(),
         )
         xs = np.array([0.5, -0.25])
-        trace = gru_forward(params, xs)
+        hidden, _ = trace("gru", params, xs)
         for t in range(2):
-            npt.assert_allclose(trace.hidden[t], np.full(U, np.tanh(xs[t])), atol=1e-12)
+            npt.assert_allclose(hidden[t], np.full(U, np.tanh(xs[t])), atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_hidden_state_stays_bounded(self, kind):
@@ -180,16 +187,14 @@ class TestForwardBehavior:
             t *= 8.0
         rng = np.random.default_rng(5)
         xs = rng.uniform(-50.0, 50.0, size=40)
-        fwd = lstm_forward if kind == "lstm" else gru_forward
-        trace = fwd(state.cell, xs)
-        assert np.abs(trace.hidden).max() <= 1.0
+        hidden, _ = trace(kind, state.cell, xs)
+        assert np.abs(hidden).max() <= 1.0
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_forward_is_deterministic(self, kind):
         state = make_state(kind)
         xs = np.linspace(-1, 1, 5)
-        fwd = lstm_forward if kind == "lstm" else gru_forward
-        npt.assert_array_equal(fwd(state.cell, xs).hidden, fwd(state.cell, xs).hidden)
+        npt.assert_array_equal(trace(kind, state.cell, xs)[0], trace(kind, state.cell, xs)[0])
 
 
 class TestInit:
@@ -284,7 +289,7 @@ class TestGradients:
         singles = []
         losses = []
         for j in range(3):
-            losses.append(backward(state, xs[j], ys[j]))
+            losses.append(backward_batch(state, xs[j:j + 1], ys[j:j + 1]))
             singles.append({k: v.copy() for k, v in state.grad_tensors().items()})
 
         batch_loss = backward_batch(state, xs, ys)
@@ -308,12 +313,12 @@ class TestShapeAndErrors:
     def test_backward_rejects_wrong_window_length(self):
         state = make_state("lstm")
         with pytest.raises(ShapeError, match="5"):
-            backward(state, np.zeros(4), np.zeros(2))
+            backward_batch(state, np.zeros((1, 4)), np.zeros((1, 2)))
 
     def test_backward_rejects_wrong_target_length(self):
         state = make_state("gru")
         with pytest.raises(ShapeError, match="2"):
-            backward(state, np.zeros(5), np.zeros(3))
+            backward_batch(state, np.zeros((1, 5)), np.zeros((1, 3)))
 
     def test_backward_batch_rejects_mismatched_batch(self):
         state = make_state("lstm")
@@ -333,12 +338,7 @@ class TestShapeAndErrors:
     def test_forward_rejects_non_finite_window(self):
         state = make_state("lstm")
         with pytest.raises(NumericError):
-            lstm_forward(state.cell, np.array([0.0, np.nan, 1.0, 0.0, 0.0]))
-
-    def test_dense_rejects_wrong_hidden_size(self):
-        head = DenseParams(weight=np.zeros((2, 4)), bias=np.zeros(2))
-        with pytest.raises(ShapeError):
-            dense_forward(head, np.zeros(5))
+            state.forecast(np.array([[0.0, np.nan, 1.0, 0.0, 0.0]]))
 
 
 class TestForecast:
@@ -349,15 +349,14 @@ class TestForecast:
         xs = rng.uniform(-1, 1, size=(4, 8))
         preds = state.forecast(xs)
         assert preds.shape == (4, 3)
-        fwd = lstm_forward if kind == "lstm" else gru_forward
         for j in range(4):
-            trace = fwd(state.cell, xs[j])
-            npt.assert_allclose(preds[j], dense_forward(state.head, trace.final_hidden),
+            hidden, _ = trace(kind, state.cell, xs[j])
+            npt.assert_allclose(preds[j], state.head.weight @ hidden[-1] + state.head.bias,
                                 rtol=1e-12, atol=1e-15)
 
     def test_zero_grads_clears_buffers(self):
         state = make_state("lstm")
-        backward(state, np.ones(5) * 0.1, np.zeros(2))
+        backward_batch(state, np.full((1, 5), 0.1), np.zeros((1, 2)))
         assert any(np.abs(g).max() > 0 for g in state.grad_tensors().values())
         state.zero_grads()
         for g in state.grad_tensors().values():

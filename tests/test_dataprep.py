@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rnncast.dataprep import (DegenerateSeriesError, ParseError, PartitionSpec,
+from rnncast.dataprep import (ParseError, PartitionSpec,
                               Series, denormalize, gen_activities,
                               gen_random_walk, load_csv, make_windows,
                               normalize, save_csv)
@@ -43,13 +43,10 @@ class TestNormalize:
         npt.assert_allclose(s.values, [0.0, 0.25, 1.0])
         assert (s.raw_min, s.raw_max) == (0.0, 1.0)
 
-    def test_constant_series_raises(self):
-        with pytest.raises(DegenerateSeriesError, match="constant"):
-            normalize(Series("flat", [3.0, 3.0, 3.0]))
-
     def test_constant_series_flag_maps_to_half(self):
-        s = normalize(Series("flat", [3.0, 3.0, 3.0]), degenerate_to_half=True)
+        s = normalize(Series("flat", [3.0, 3.0, 3.0]))
         npt.assert_array_equal(s.values, [0.5, 0.5, 0.5])
+        assert (s.raw_min, s.raw_max) == (3.0, 3.0)
 
     def test_fit_len_restricts_bounds_to_prefix(self):
         s = normalize(Series("s", [0.0, 10.0, 20.0, 40.0]), fit_len=3)
@@ -160,7 +157,6 @@ class TestMakeWindows:
     def test_bounds_ride_along(self):
         s = normalize(Series("s", np.arange(30, dtype=float)))
         ds = make_windows(s, PartitionSpec(3, 1, 5), "train")
-        assert ds.series_name == "s"
         assert (ds.raw_min, ds.raw_max) == (0.0, 29.0)
 
 

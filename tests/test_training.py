@@ -106,7 +106,7 @@ class TestClip:
 
 
 def flat_dataset():
-    s = normalize(Series("flat", np.full(120, 7.0)), degenerate_to_half=True)
+    s = normalize(Series("flat", np.full(120, 7.0)))
     return make_windows(s, PartitionSpec(8, 2, 20), "train")
 
 
@@ -184,7 +184,7 @@ class TestTrain:
         assert cp.raw_max == ds.raw_max
         assert cp.config["epochs"] == 2
         assert cp.config["seed"] == 9
-        assert cp.kind == "gru"
+        assert cp.model.kind == "gru"
 
 
 class TestCheckpointIO:
@@ -199,7 +199,7 @@ class TestCheckpointIO:
     def test_round_trip_bit_identical(self, tmp_path, kind):
         cp, path = self.trained(tmp_path, kind)
         back = load_checkpoint(path)
-        assert back.kind == cp.kind
+        assert back.model.kind == cp.model.kind
         assert back.model.units == cp.model.units
         assert back.model.window == cp.model.window
         assert back.model.horizon == cp.model.horizon
