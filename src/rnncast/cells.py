@@ -28,7 +28,8 @@ of one, `window[None, :]`. Gradients are exact means of per-sample
 gradients. The loss is MSE averaged over horizon steps, matching the
 gradient of (1/horizon) * sum((pred - target)^2) per sample. Each cell's
 equations exist once, in a step generator that serves both `forecast` and
-training, and once more, differentiated, in its backward pass.
+training, and once more, differentiated, in its backward pass, which reads
+the arrays that generator yielded for each step, uncopied.
 """
 
 from __future__ import annotations
@@ -210,9 +211,8 @@ def init_model(kind: str, units: int, window: int, horizon: int, rng: Rng) -> Mo
 
 # ---------------------------------------------------------------------------
 # Step generators and BPTT. Shapes: xs (B, T); gates and states (B, U) per
-# step, stacked to (T, B, U) in the traces. One step generator per cell
-# serves both `forecast`, which keeps only the last h, and training, which
-# traces every step.
+# step. One step generator per cell serves both `forecast`, which keeps
+# only the last h, and training, whose backward reads every step's tuple.
 # ---------------------------------------------------------------------------
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -222,7 +222,8 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def _lstm_steps(params: LstmParams, xs: np.ndarray):
-    """Yield (i, f, o, g, tanh_c, c, h) for each step, from zero state."""
+    """Yield (i, f, o, g, tanh_c, c, h) for each step, from zero state; every
+    yielded array is new and never written again."""
     B, T = xs.shape
     h = np.zeros((B, params.units))
     c = np.zeros((B, params.units))
@@ -240,7 +241,8 @@ def _lstm_steps(params: LstmParams, xs: np.ndarray):
 
 
 def _gru_steps(params: GruParams, xs: np.ndarray):
-    """Yield (z, r, n, rh, h) for each step, from zero state; rh = r_t * h_{t-1}."""
+    """Yield (z, r, n, rh, h) for each step, from zero state; rh = r_t * h_{t-1}.
+    Every yielded array is new and never written again."""
     B, T = xs.shape
     h = np.zeros((B, params.units))
     for t in range(T):
@@ -254,43 +256,22 @@ def _gru_steps(params: GruParams, xs: np.ndarray):
 
 
 _STEPS = {"lstm": _lstm_steps, "gru": _gru_steps}
-_STEP_NAMES = {"lstm": ("i", "f", "o", "g", "tanh_c", "c", "h"),
-               "gru": ("z", "r", "n", "rh", "h")}
-_STATES = ("c", "h")
-
-
-def _forward_traced(kind: str, params, xs: np.ndarray) -> dict:
-    """Every step's values by name: gates (T, B, U); states c and h
-    (T + 1, B, U), with the zero initial state at index 0."""
-    B, T = xs.shape
-    tr, rows = {}, []
-    for name in _STEP_NAMES[kind]:
-        if name in _STATES:
-            tr[name] = np.zeros((T + 1, B, params.units))
-            rows.append(tr[name][1:])
-        else:
-            tr[name] = np.empty((T, B, params.units))
-            rows.append(tr[name])
-    for t, step in enumerate(_STEPS[kind](params, xs)):
-        for row, value in zip(rows, step):
-            row[t] = value
-    return tr
 
 
 def _lstm_backward(params: LstmParams, grads: LstmParams,
-                   xs: np.ndarray, dh: np.ndarray, tr: dict) -> None:
+                   xs: np.ndarray, dh: np.ndarray, steps: list) -> None:
     """Add the BPTT gradients of dh (loss w.r.t. the final h) into `grads`."""
     gates = grads.gates()
+    zero = np.zeros_like(dh)  # c_0 and h_0
     dc = np.zeros_like(dh)
     for t in range(xs.shape[1] - 1, -1, -1):
-        i, f, o, g = tr["i"][t], tr["f"][t], tr["o"][t], tr["g"][t]
-        tc = tr["tanh_c"][t]
-        h_prev = tr["h"][t]
+        i, f, o, g, tc, _, _ = steps[t]
+        c_prev, h_prev = steps[t - 1][5:] if t else (zero, zero)
         x = xs[:, t]
 
         dc = dc + dh * o * (1.0 - tc * tc)
         da_i = dc * g * i * (1.0 - i)
-        da_f = dc * tr["c"][t] * f * (1.0 - f)
+        da_f = dc * c_prev * f * (1.0 - f)
         da_o = dh * tc * o * (1.0 - o)
         da_g = dc * i * (1.0 - g * g)
         for (dw, du, db), da in zip(gates, (da_i, da_f, da_o, da_g)):
@@ -303,12 +284,13 @@ def _lstm_backward(params: LstmParams, grads: LstmParams,
 
 
 def _gru_backward(params: GruParams, grads: GruParams,
-                  xs: np.ndarray, dh: np.ndarray, tr: dict) -> None:
+                  xs: np.ndarray, dh: np.ndarray, steps: list) -> None:
     """Add the BPTT gradients of dh (loss w.r.t. the final h) into `grads`."""
     gates = grads.gates()
+    zero = np.zeros_like(dh)  # h_0
     for t in range(xs.shape[1] - 1, -1, -1):
-        z, r, n, rh = tr["z"][t], tr["r"][t], tr["n"][t], tr["rh"][t]
-        h_prev = tr["h"][t]
+        z, r, n, rh, _ = steps[t]
+        h_prev = steps[t - 1][-1] if t else zero
         x = xs[:, t]
 
         da_n = dh * (1.0 - z) * (1.0 - n * n)
@@ -347,8 +329,8 @@ def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray) -
     B = xs.shape[0]
     F = state.horizon
 
-    tr = _forward_traced(state.kind, state.cell, xs)
-    h_last = tr["h"][-1]  # (B, U)
+    steps = list(_STEPS[state.kind](state.cell, xs))
+    h_last = steps[-1][-1]  # (B, U)
 
     with np.errstate(over="ignore"):
         preds = h_last @ state.head.weight.T + state.head.bias  # (B, F)
@@ -362,6 +344,6 @@ def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray) -
     np.copyto(state.head_grads.weight, dpred.T @ h_last)    # (F, U)
     np.copyto(state.head_grads.bias, dpred.sum(axis=0))     # (F,)
     dh = dpred @ state.head.weight                          # (B, U)
-    _BACKWARDS[state.kind](state.cell, state.cell_grads, xs, dh, tr)
+    _BACKWARDS[state.kind](state.cell, state.cell_grads, xs, dh, steps)
     return loss
 

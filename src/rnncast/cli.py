@@ -225,8 +225,16 @@ def _load(config: ExperimentConfig) -> tuple[list[Series], list[Series]]:
             f"train_series_index {config.train_series_index} out of range: "
             f"dataset has {len(series)} series")
     fit = config.fit_bounds_on_train
-    return series, [normalize(s, fit_len=len(s) - config.test_len if fit else None)
-                    for s in series]
+    sources = [normalize(s, fit_len=len(s) - config.test_len if fit else None)
+               for s in series]
+    for raw, s in zip(series, sources):
+        if s.raw_min == s.raw_max and (config.report_units == "raw"
+                                       or raw.values.min() != raw.values.max()):
+            raise ConfigError(
+                f"series {raw.name!r} is constant ({s.raw_min!r}) where its bounds are "
+                f"fitted; only a series constant throughout can be scored, and only "
+                f"in normalized units")
+    return series, sources
 
 
 def _pair_name(model: str, horizon: int) -> str:
@@ -430,10 +438,8 @@ def _forecast_pass(config: ExperimentConfig, series: list[Series],
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write("model,horizon,series,rmse,da\n")
             for t in tables:
-                for sname, r, d in [*((row.name, row.rmse, row.da) for row in t.rows),
-                                    ("mean", t.mean_rmse, t.mean_da),
-                                    ("sd", t.sd_rmse, t.sd_da)]:
-                    fh.write(f"{t.model},{t.horizon},{sname},{r!r},{d!r}\n")
+                for line in report_to_csv(t).splitlines()[1:]:
+                    fh.write(f"{t.model},{t.horizon},{line}\n")
         reports["summary"] = [summary_path.name]
         artifacts["reports"] = reports
     if write_plots:

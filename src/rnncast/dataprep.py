@@ -138,13 +138,12 @@ def make_windows(series: Series, spec: PartitionSpec, region: str) -> WindowedDa
         n = test_len - f + 1
         start = q - test_len - w
 
-    starts = np.arange(start, start + n)
     in_view = sliding_window_view(series.values, w)
     tgt_view = sliding_window_view(series.values, f)
     return WindowedDataset(
-        inputs=in_view[starts].copy(),
-        targets=tgt_view[starts + w].copy(),
-        origins=starts,
+        inputs=in_view[start:start + n].copy(),
+        targets=tgt_view[start + w:start + w + n].copy(),
+        origins=np.arange(start, start + n),
         raw_min=series.raw_min,
         raw_max=series.raw_max,
     )
@@ -212,7 +211,8 @@ def load_csv(path, *, date_column: bool = False) -> list[Series]:
     """Read a wide CSV: header row of series names, one sample per row.
 
     With date_column=True the first column is skipped (dates/labels). Names
-    name files, so must be unique, non-empty and free of path separators.
+    name files and fill report CSV rows, so must be unique, non-empty and
+    free of path separators, commas, quotes and line breaks.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -227,9 +227,10 @@ def load_csv(path, *, date_column: bool = False) -> list[Series]:
         names = [h.strip() for h in header]
         seen = set()
         for name in names:
-            if not name or "/" in name or "\\" in name or name in seen:
+            if not name or name in seen or any(ch in name for ch in '/\\,"\r\n'):
                 raise ParseError(f"{path}: series name {name!r} is empty, repeats "
-                                 f"or contains a path separator")
+                                 f"or contains a path separator, comma, quote "
+                                 f"or line break")
             seen.add(name)
         columns: list[list[float]] = [[] for _ in names]
         for lineno, row in enumerate(reader, start=2):

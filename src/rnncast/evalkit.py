@@ -152,7 +152,6 @@ class EvalReport:
     sd_rmse: float
     mean_da: float
     sd_da: float
-    sd_kind: str = "sample (ddof=1)"
 
 
 def _sample_sd(values: np.ndarray) -> float:
@@ -193,7 +192,7 @@ def report_to_text(report: EvalReport) -> str:
     """Aligned table with the model tag, horizon, and SD convention."""
     name_width = max([len("series"), len("mean"), len("sd")]
                      + [len(r.name) for r in report.rows])
-    lines = [f"model {report.model}, horizon {report.horizon} (SD: {report.sd_kind})"]
+    lines = [f"model {report.model}, horizon {report.horizon} (SD: sample (ddof=1))"]
     lines.append(f"{'series':<{name_width}}  {'RMSE':>12}  {'DA':>8}")
     for row in report.rows:
         lines.append(f"{row.name:<{name_width}}  {row.rmse:>12.6f}  {row.da:>8.4f}")

@@ -88,9 +88,10 @@ def make_state(kind, units=4, window=5, horizon=2, seed=11):
 
 def trace(kind, params, xs):
     """Hidden states h_1 .. h_w (w, units) of one window, and for an LSTM
-    its cell states c_1 .. c_w, read off the traced batch-of-one forward."""
-    tr = cells._forward_traced(kind, params, np.asarray(xs, dtype=np.float64)[None, :])
-    return tr["h"][1:, 0], tr["c"][1:, 0] if kind == "lstm" else None
+    its cell states c_1 .. c_w, read off the step generator's batch of one."""
+    steps = list(cells._STEPS[kind](params, np.asarray(xs, dtype=np.float64)[None, :]))
+    hidden = np.array([step[-1][0] for step in steps])
+    return hidden, np.array([step[5][0] for step in steps]) if kind == "lstm" else None
 
 
 class TestForwardOracle:
@@ -195,6 +196,25 @@ class TestForwardBehavior:
         state = make_state(kind)
         xs = np.linspace(-1, 1, 5)
         npt.assert_array_equal(trace(kind, state.cell, xs)[0], trace(kind, state.cell, xs)[0])
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_collected_steps_equal_copies_taken_at_each_yield(self, kind):
+        # backward_batch reads the step tuples that list() collects, so no
+        # step may write into an array that an earlier step yielded.
+        state = make_state(kind, units=4, window=7, seed=17)
+        xs = np.random.default_rng(18).uniform(-1, 1, size=(3, 7))
+        copies = []
+
+        def copying(steps):
+            for step in steps:
+                copies.append(tuple(a.copy() for a in step))
+                yield step
+
+        collected = list(copying(cells._STEPS[kind](state.cell, xs)))
+        assert len(collected) == 7
+        for step, copy in zip(collected, copies):
+            for value, expected in zip(step, copy):
+                npt.assert_array_equal(value, expected)
 
 
 class TestInit:

@@ -306,6 +306,25 @@ class TestEvaluate:
         assert float(mean_rmse) == 0.0
         assert float(mean_da) == 1.0
 
+    @pytest.mark.parametrize("flags,flat", [
+        (["--report-units", "raw"], [7.0] * 120),
+        (["--fit-bounds-on-train"], [7.0] * 100 + [float(i % 3) for i in range(20)]),
+    ], ids=["raw units of a constant series", "flat only where bounds are fitted"])
+    def test_series_without_range_exits_2_before_any_write(self, tmp_path, capsys,
+                                                            flags, flat):
+        data = tmp_path / "flat.csv"
+        rows = "\n".join(f"{i % 7}.0,{v!r}" for i, v in enumerate(flat))
+        data.write_text(f"a,flat\n{rows}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["run", "--data", str(data), "--window", "8", "--horizons", "1",
+                   "--test-len", "20", "--epochs", "1", "--units", "2", *flags,
+                   "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generate stage failed: series 'flat' ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPlot:
     def test_one_step_chart_has_two_polylines(self, run_dir):
@@ -476,7 +495,9 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("header", [
         "a,a", "\ufeffa,a", "a,", "a, ", "a/b,c", "a\\b,c",
-    ], ids=["duplicate", "bom duplicate", "empty", "blank", "slash", "backslash"])
+        '"a,b",c', '"a""b",c', '"a\nb",c', '"a\rb",c',
+    ], ids=["duplicate", "bom duplicate", "empty", "blank", "slash", "backslash",
+            "comma", "quote", "line break", "carriage return"])
     def test_bad_series_names_exit_2_before_training(self, tmp_path, capsys, header):
         data = tmp_path / "names.csv"
         rows = "\n".join(f"{i}.0,{i % 7}.0" for i in range(120))

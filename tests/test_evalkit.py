@@ -192,7 +192,7 @@ class TestAggregate:
         assert rep.sd_rmse == 0.0
         assert rep.mean_da == 0.8
         assert rep.sd_da == 0.0
-        assert "ddof=1" in rep.sd_kind
+        assert "ddof=1" in report_to_text(rep)
 
     def test_two_values_hand_formula(self):
         rep = aggregate([SeriesResult("a", 0.1, 0.1), SeriesResult("b", 0.3, 0.3)],
