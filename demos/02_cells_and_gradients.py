@@ -13,7 +13,7 @@ from rnncast.numkit import Rng
 
 rng = Rng(7)
 state = init_model("lstm", units=3, window=4, horizon=1, rng=rng)
-cell = state.cell
+p = state.params
 
 window = np.array([0.5, -0.2, 0.8, 0.1])
 forecast = state.forecast(window[None, :])[0]
@@ -26,14 +26,14 @@ def sig(a):
 h = np.zeros(3)
 c = np.zeros(3)
 for x in window:
-    i = sig(x * cell.w_i + cell.u_i @ h + cell.b_i)
-    f = sig(x * cell.w_f + cell.u_f @ h + cell.b_f)
-    o = sig(x * cell.w_o + cell.u_o @ h + cell.b_o)
-    g = np.tanh(x * cell.w_g + cell.u_g @ h + cell.b_g)
+    i = sig(x * p["w_i"] + p["u_i"] @ h + p["b_i"])
+    f = sig(x * p["w_f"] + p["u_f"] @ h + p["b_f"])
+    o = sig(x * p["w_o"] + p["u_o"] @ h + p["b_o"])
+    g = np.tanh(x * p["w_g"] + p["u_g"] @ h + p["b_g"])
     c = f * c + i * g
     h = o * np.tanh(c)
 print("hand-rolled hidden state:      ", np.round(h, 6))
-by_hand = state.head.weight @ h + state.head.bias
+by_hand = p["w_out"] @ h + p["b_out"]
 print("hand-rolled forecast (head):   ", np.round(by_hand, 6))
 print("max difference:", np.abs(by_hand - forecast).max())
 assert np.allclose(by_hand, forecast, rtol=1e-12, atol=1e-15)
@@ -45,16 +45,16 @@ print("\nGRU forecast:", np.round(gru.forecast(window[None, :])[0], 6))
 # Gradient check: nudge one recurrent weight of the forget gate up and down,
 # and compare the slope of the loss with what backpropagation reported.
 target = np.array([0.3])
-loss = backward_batch(state, window[None, :], target[None, :])
-analytic = state.cell_grads.u_f[1, 2]
+loss, grads = backward_batch(state, window[None, :], target[None, :])
+analytic = grads["u_f"][1, 2]
 
 eps = 1e-6
-keep = state.cell.u_f[1, 2]
-state.cell.u_f[1, 2] = keep + eps
+keep = p["u_f"][1, 2]
+p["u_f"][1, 2] = keep + eps
 hi = float(state.forecast(window[None, :])[0, 0] - target[0]) ** 2
-state.cell.u_f[1, 2] = keep - eps
+p["u_f"][1, 2] = keep - eps
 lo = float(state.forecast(window[None, :])[0, 0] - target[0]) ** 2
-state.cell.u_f[1, 2] = keep
+p["u_f"][1, 2] = keep
 
 numeric = (hi - lo) / (2 * eps)
 print(f"\nloss {loss:.6f}")

@@ -24,9 +24,13 @@ normalized space but are never clamped).
 
 The API is batched only: `ModelState.forecast` and `backward_batch` take a
 stack of windows, shape (batch, window), and a single window is the batch
-of one, `window[None, :]`. Gradients are exact means of per-sample
-gradients. The loss is MSE averaged over horizon steps, matching the
-gradient of (1/horizon) * sum((pred - target)^2) per sample. Each cell's
+of one, `window[None, :]`. A model's parameters are one dict from tensor
+name (w_i, u_i, b_i, ..., w_out, b_out) to array, as `tensor_shapes`
+declares them; checkpoints, Adam and the cells all read that dict, and
+`backward_batch` returns the gradients as a new dict under the same names.
+Gradients are exact means of per-sample gradients. The loss is MSE
+averaged over horizon steps, matching the gradient of
+(1/horizon) * sum((pred - target)^2) per sample. Each cell's
 equations exist once, in a step generator that serves both `forecast` and
 training, and once more, differentiated, in its backward pass, which reads
 the arrays that generator yielded for each step, uncopied.
@@ -34,152 +38,71 @@ the arrays that generator yielded for each step, uncopied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numkit import NumericError, Rng, ShapeError
 
-
-class _GateParams:
-    """Per-gate weights: w_* (units,) input, u_* (units, units) recurrent,
-    b_* (units,); fields run gate by gate, (w, u, b) for each."""
-
-    @property
-    def units(self) -> int:
-        return next(iter(self.tensors().values())).shape[0]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def gates(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(w, u, b) of each gate, in field order."""
-        ts = list(self.tensors().values())
-        return [tuple(ts[k:k + 3]) for k in range(0, len(ts), 3)]
-
-
-@dataclass
-class LstmParams(_GateParams):
-    w_i: np.ndarray
-    u_i: np.ndarray
-    b_i: np.ndarray
-    w_f: np.ndarray
-    u_f: np.ndarray
-    b_f: np.ndarray
-    w_o: np.ndarray
-    u_o: np.ndarray
-    b_o: np.ndarray
-    w_g: np.ndarray
-    u_g: np.ndarray
-    b_g: np.ndarray
-
-
-@dataclass
-class GruParams(_GateParams):
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_n: np.ndarray
-    u_n: np.ndarray
-    b_n: np.ndarray
-
-
-CELL_PARAMS = {"lstm": LstmParams, "gru": GruParams}
-CELL_KINDS = tuple(CELL_PARAMS)
-
-
-@dataclass
-class DenseParams:
-    """Linear head: weight (horizon, units), bias (horizon,)."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.bias.shape[0]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"w_out": self.weight, "b_out": self.bias}
-
-
-def _zeros_like_params(params):
-    cls = type(params)
-    return cls(**{f: np.zeros_like(getattr(params, f))
-                  for f in params.__dataclass_fields__})
-
-
-def init_cell(kind: str, units: int, rng: Rng) -> LstmParams | GruParams:
-    """w_* and u_* drawn in field order, uniform in [-1/sqrt(units), +1/sqrt(units)]; b_* zero."""
-    scale = 1.0 / np.sqrt(units)
-    draw = {"w": lambda: rng.uniform(-scale, scale, units, 1).ravel(),
-            "u": lambda: rng.uniform(-scale, scale, units, units),
-            "b": lambda: np.zeros(units)}
-    params = CELL_PARAMS[kind]
-    return params(**{name: draw[name[0]]() for name in params.__dataclass_fields__})
-
-
-def init_dense(units: int, horizon: int, rng: Rng) -> DenseParams:
-    scale = 1.0 / np.sqrt(units)
-    return DenseParams(rng.uniform(-scale, scale, horizon, units), np.zeros(horizon))
+GATES = {"lstm": "ifog", "gru": "zrn"}
+CELL_KINDS = tuple(GATES)
 
 
 def tensor_shapes(kind: str, units: int, horizon: int) -> dict[str, tuple]:
-    """Name -> shape of every tensor of a `kind` model, cell then head."""
-    shapes = {name: (units, units) if name.startswith("u_") else (units,)
-              for name in CELL_PARAMS[kind].__dataclass_fields__}
+    """Name -> shape of every tensor of a `kind` model: w_* (units,) input,
+    u_* (units, units) recurrent and b_* (units,) gate by gate, then the
+    head's w_out (horizon, units) and b_out (horizon,)."""
+    if kind not in GATES:
+        raise ValueError(f"unknown cell kind {kind!r}, expected one of {CELL_KINDS}")
+    shapes = {}
+    for gate in GATES[kind]:
+        shapes.update({f"w_{gate}": (units,), f"u_{gate}": (units, units),
+                       f"b_{gate}": (units,)})
     shapes.update(w_out=(horizon, units), b_out=(horizon,))
     return shapes
 
 
+def _check_sizes(units: int, window: int, horizon: int) -> None:
+    if min(units, window, horizon) < 1:
+        raise ValueError(
+            f"units, window, horizon must be positive, got {units}, {window}, {horizon}")
+
+
 @dataclass
 class ModelState:
-    """One recurrent cell plus head, with gradient buffers mirroring every shape."""
+    """One recurrent cell plus head; `params` maps each name of
+    `tensor_shapes` to its array, in that order."""
 
     kind: str
-    cell: LstmParams | GruParams
-    head: DenseParams
-    units: int
+    params: dict[str, np.ndarray]
     window: int
-    horizon: int
-    cell_grads: LstmParams | GruParams = field(repr=False, default=None)
-    head_grads: DenseParams = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.kind not in CELL_KINDS:
-            raise ValueError(f"unknown cell kind {self.kind!r}, expected one of {CELL_KINDS}")
-        if min(self.units, self.window, self.horizon) < 1:
-            raise ValueError(
-                f"units, window, horizon must be positive, got {self.units}, "
-                f"{self.window}, {self.horizon}")
-        expected = tensor_shapes(self.kind, self.units, self.horizon)
-        tensors = self.tensors()
-        if tensors.keys() != expected.keys():
+        names = tensor_shapes(self.kind, 0, 0).keys()
+        if self.params.keys() != names:
             raise ShapeError(
-                f"{self.kind} model needs tensors {sorted(expected)}, got {sorted(tensors)}")
-        for name, shape in expected.items():
-            if tensors[name].shape != shape:
+                f"{self.kind} model needs tensors {sorted(names)}, got {sorted(self.params)}")
+        if self.params["w_out"].ndim != 2:
+            raise ShapeError(f"tensor 'w_out' has shape {self.params['w_out'].shape}, "
+                             f"expected (horizon, units)")
+        _check_sizes(self.units, self.window, self.horizon)
+        for name, shape in tensor_shapes(self.kind, self.units, self.horizon).items():
+            if self.params[name].shape != shape:
                 raise ShapeError(
-                    f"tensor {name!r} has shape {tensors[name].shape}, expected "
+                    f"tensor {name!r} has shape {self.params[name].shape}, expected "
                     f"{shape} for a {self.kind} with units={self.units}, "
                     f"horizon={self.horizon}")
-        if self.cell_grads is None:
-            self.cell_grads = _zeros_like_params(self.cell)
-        if self.head_grads is None:
-            self.head_grads = _zeros_like_params(self.head)
+
+    @property
+    def units(self) -> int:
+        return self.params["w_out"].shape[1]
+
+    @property
+    def horizon(self) -> int:
+        return self.params["w_out"].shape[0]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {**self.cell.tensors(), **self.head.tensors()}
-
-    def grad_tensors(self) -> dict[str, np.ndarray]:
-        return {**self.cell_grads.tensors(), **self.head_grads.tensors()}
-
-    def zero_grads(self) -> None:
-        for g in self.grad_tensors().values():
-            g[...] = 0.0
+        return self.params
 
     def forecast(self, inputs: np.ndarray) -> np.ndarray:
         """Predict (n, horizon) from a stack of windows (n, window)."""
@@ -187,32 +110,36 @@ class ModelState:
         if xs.ndim != 2 or xs.shape[1] != self.window:
             raise ShapeError(
                 f"forecast: expected inputs of shape (n, {self.window}), got {xs.shape}")
-        for step in _STEPS[self.kind](self.cell, xs):
+        for step in _STEPS[self.kind](self.params, xs):
             h = step[-1]
             del step  # frees this step's gates while the next one is computed
-        preds = h @ self.head.weight.T + self.head.bias
+        preds = h @ self.params["w_out"].T + self.params["b_out"]
         if not np.isfinite(preds).all():
             raise NumericError("forecast: non-finite prediction")
         return preds
 
 
 def init_model(kind: str, units: int, window: int, horizon: int, rng: Rng) -> ModelState:
-    """Fresh model: weights uniform in [-1/sqrt(units), +1/sqrt(units)], biases zero."""
-    if kind not in CELL_KINDS:
-        raise ValueError(f"unknown cell kind {kind!r}, expected one of {CELL_KINDS}")
-    if min(units, window, horizon) < 1:
-        raise ValueError(
-            f"units, window, horizon must be positive, got {units}, {window}, {horizon}")
-    cell = init_cell(kind, units, rng)
-    head = init_dense(units, horizon, rng)
-    return ModelState(kind=kind, cell=cell, head=head,
-                      units=units, window=window, horizon=horizon)
+    """Fresh model: weights drawn in `tensor_shapes` order, uniform in
+    [-1/sqrt(units), +1/sqrt(units)], w_* as (units, 1); biases zero."""
+    shapes = tensor_shapes(kind, units, horizon)
+    _check_sizes(units, window, horizon)
+    scale = 1.0 / np.sqrt(units)
+    params = {}
+    for name, shape in shapes.items():
+        if name.startswith("b_"):
+            params[name] = np.zeros(shape)
+        else:
+            rows, cols = shape if len(shape) == 2 else (units, 1)
+            params[name] = rng.uniform(-scale, scale, rows, cols).reshape(shape)
+    return ModelState(kind, params, window)
 
 
 # ---------------------------------------------------------------------------
 # Step generators and BPTT. Shapes: xs (B, T); gates and states (B, U) per
-# step. One step generator per cell serves both `forecast`, which keeps
-# only the last h, and training, whose backward reads every step's tuple.
+# step; `p` is the model's name -> array dict. One step generator per cell
+# serves both `forecast`, which keeps only the last h, and training, whose
+# backward reads every step's tuple and adds into the gradient dict.
 # ---------------------------------------------------------------------------
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -221,18 +148,18 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-a))
 
 
-def _lstm_steps(params: LstmParams, xs: np.ndarray):
+def _lstm_steps(p: dict, xs: np.ndarray):
     """Yield (i, f, o, g, tanh_c, c, h) for each step, from zero state; every
     yielded array is new and never written again."""
     B, T = xs.shape
-    h = np.zeros((B, params.units))
-    c = np.zeros((B, params.units))
+    h = np.zeros((B, p["u_i"].shape[0]))
+    c = np.zeros((B, p["u_i"].shape[0]))
     for t in range(T):
         x = xs[:, t:t + 1]
-        i = _sigmoid(x * params.w_i + h @ params.u_i.T + params.b_i)
-        f = _sigmoid(x * params.w_f + h @ params.u_f.T + params.b_f)
-        o = _sigmoid(x * params.w_o + h @ params.u_o.T + params.b_o)
-        g = np.tanh(x * params.w_g + h @ params.u_g.T + params.b_g)
+        i = _sigmoid(x * p["w_i"] + h @ p["u_i"].T + p["b_i"])
+        f = _sigmoid(x * p["w_f"] + h @ p["u_f"].T + p["b_f"])
+        o = _sigmoid(x * p["w_o"] + h @ p["u_o"].T + p["b_o"])
+        g = np.tanh(x * p["w_g"] + h @ p["u_g"].T + p["b_g"])
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
@@ -240,17 +167,17 @@ def _lstm_steps(params: LstmParams, xs: np.ndarray):
         del tc  # frees tanh(c) while the next step is computed
 
 
-def _gru_steps(params: GruParams, xs: np.ndarray):
+def _gru_steps(p: dict, xs: np.ndarray):
     """Yield (z, r, n, rh, h) for each step, from zero state; rh = r_t * h_{t-1}.
     Every yielded array is new and never written again."""
     B, T = xs.shape
-    h = np.zeros((B, params.units))
+    h = np.zeros((B, p["u_z"].shape[0]))
     for t in range(T):
         x = xs[:, t:t + 1]
-        z = _sigmoid(x * params.w_z + h @ params.u_z.T + params.b_z)
-        r = _sigmoid(x * params.w_r + h @ params.u_r.T + params.b_r)
+        z = _sigmoid(x * p["w_z"] + h @ p["u_z"].T + p["b_z"])
+        r = _sigmoid(x * p["w_r"] + h @ p["u_r"].T + p["b_r"])
         rh = r * h
-        n = np.tanh(x * params.w_n + rh @ params.u_n.T + params.b_n)
+        n = np.tanh(x * p["w_n"] + rh @ p["u_n"].T + p["b_n"])
         h = (1.0 - z) * n + z * h
         yield z, r, n, rh, h
 
@@ -258,10 +185,15 @@ def _gru_steps(params: GruParams, xs: np.ndarray):
 _STEPS = {"lstm": _lstm_steps, "gru": _gru_steps}
 
 
-def _lstm_backward(params: LstmParams, grads: LstmParams,
-                   xs: np.ndarray, dh: np.ndarray, steps: list) -> None:
+def _gate_grads(kind: str, grads: dict) -> list[tuple]:
+    """(dw, du, db) of each gate of `kind`, in `GATES` order."""
+    return [(grads[f"w_{g}"], grads[f"u_{g}"], grads[f"b_{g}"]) for g in GATES[kind]]
+
+
+def _lstm_backward(p: dict, grads: dict, xs: np.ndarray, dh: np.ndarray,
+                   steps: list) -> None:
     """Add the BPTT gradients of dh (loss w.r.t. the final h) into `grads`."""
-    gates = grads.gates()
+    gates = _gate_grads("lstm", grads)
     zero = np.zeros_like(dh)  # c_0 and h_0
     dc = np.zeros_like(dh)
     for t in range(xs.shape[1] - 1, -1, -1):
@@ -279,14 +211,14 @@ def _lstm_backward(params: LstmParams, grads: LstmParams,
             du += da.T @ h_prev
             db += da.sum(axis=0)
 
-        dh = da_i @ params.u_i + da_f @ params.u_f + da_o @ params.u_o + da_g @ params.u_g
+        dh = da_i @ p["u_i"] + da_f @ p["u_f"] + da_o @ p["u_o"] + da_g @ p["u_g"]
         dc = dc * f
 
 
-def _gru_backward(params: GruParams, grads: GruParams,
-                  xs: np.ndarray, dh: np.ndarray, steps: list) -> None:
+def _gru_backward(p: dict, grads: dict, xs: np.ndarray, dh: np.ndarray,
+                  steps: list) -> None:
     """Add the BPTT gradients of dh (loss w.r.t. the final h) into `grads`."""
-    gates = grads.gates()
+    gates = _gate_grads("gru", grads)
     zero = np.zeros_like(dh)  # h_0
     for t in range(xs.shape[1] - 1, -1, -1):
         z, r, n, rh, _ = steps[t]
@@ -294,7 +226,7 @@ def _gru_backward(params: GruParams, grads: GruParams,
         x = xs[:, t]
 
         da_n = dh * (1.0 - z) * (1.0 - n * n)
-        drh = da_n @ params.u_n
+        drh = da_n @ p["u_n"]
         da_z = dh * (h_prev - n) * z * (1.0 - z)
         da_r = drh * h_prev * r * (1.0 - r)
         for (dw, du, db), da, h_in in zip(gates, (da_z, da_r, da_n), (h_prev, h_prev, rh)):
@@ -302,17 +234,19 @@ def _gru_backward(params: GruParams, grads: GruParams,
             du += da.T @ h_in
             db += da.sum(axis=0)
 
-        dh = dh * z + drh * r + da_z @ params.u_z + da_r @ params.u_r
+        dh = dh * z + drh * r + da_z @ p["u_z"] + da_r @ p["u_r"]
 
 
 _BACKWARDS = {"lstm": _lstm_backward, "gru": _gru_backward}
 
 
-def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray) -> float:
+def backward_batch(state: ModelState, inputs: np.ndarray,
+                   targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """MSE loss and gradients for a stack of windows.
 
-    Loss is the batch mean of per-sample (1/horizon) * sum(squared error);
-    gradient buffers receive the exact mean of per-sample gradients.
+    Loss is the batch mean of per-sample (1/horizon) * sum(squared error).
+    Returns (loss, grads): `grads` is a new dict under `state.params`' names
+    holding the exact mean of per-sample gradients.
     """
     xs = np.asarray(inputs, dtype=np.float64)
     ys = np.asarray(targets, dtype=np.float64)
@@ -328,22 +262,22 @@ def backward_batch(state: ModelState, inputs: np.ndarray, targets: np.ndarray) -
 
     B = xs.shape[0]
     F = state.horizon
+    p = state.params
 
-    steps = list(_STEPS[state.kind](state.cell, xs))
+    steps = list(_STEPS[state.kind](p, xs))
     h_last = steps[-1][-1]  # (B, U)
 
     with np.errstate(over="ignore"):
-        preds = h_last @ state.head.weight.T + state.head.bias  # (B, F)
+        preds = h_last @ p["w_out"].T + p["b_out"]  # (B, F)
         err = preds - ys
         loss = float((err * err).sum() / (F * B))
     if not np.isfinite(loss):
         raise NumericError("backward: non-finite loss")
 
-    state.zero_grads()
-    dpred = (2.0 / (F * B)) * err                           # (B, F)
-    np.copyto(state.head_grads.weight, dpred.T @ h_last)    # (F, U)
-    np.copyto(state.head_grads.bias, dpred.sum(axis=0))     # (F,)
-    dh = dpred @ state.head.weight                          # (B, U)
-    _BACKWARDS[state.kind](state.cell, state.cell_grads, xs, dh, steps)
-    return loss
-
+    grads = {name: np.zeros_like(a) for name, a in p.items()}
+    dpred = (2.0 / (F * B)) * err                # (B, F)
+    grads["w_out"] = dpred.T @ h_last            # (F, U)
+    grads["b_out"] = dpred.sum(axis=0)           # (F,)
+    dh = dpred @ p["w_out"]                      # (B, U)
+    _BACKWARDS[state.kind](p, grads, xs, dh, steps)
+    return loss, grads

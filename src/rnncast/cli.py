@@ -224,6 +224,9 @@ def _load(config: ExperimentConfig) -> tuple[list[Series], list[Series]]:
         raise ConfigError(
             f"train_series_index {config.train_series_index} out of range: "
             f"dataset has {len(series)} series")
+    spec = PartitionSpec(config.window, max(config.horizons), config.test_len)
+    for s in series:
+        spec.check_length(len(s))
     fit = config.fit_bounds_on_train
     sources = [normalize(s, fit_len=len(s) - config.test_len if fit else None)
                for s in series]
@@ -707,3 +710,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

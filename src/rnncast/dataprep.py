@@ -68,6 +68,14 @@ class PartitionSpec:
                 f"test_len ({self.test_len}) must cover at least one horizon "
                 f"({self.horizon})")
 
+    def check_length(self, q: int) -> None:
+        """Raise unless a series of length q leaves a training window."""
+        if q - self.test_len < self.window + self.horizon:
+            raise ValueError(
+                f"series too short: Q={q}, window={self.window}, horizon={self.horizon}, "
+                f"test_len={self.test_len} leaves no training window "
+                f"(need Q - test_len >= window + horizon)")
+
 
 @dataclass
 class WindowedDataset:
@@ -123,11 +131,8 @@ def make_windows(series: Series, spec: PartitionSpec, region: str) -> WindowedDa
     if region not in ("train", "test"):
         raise ValueError(f"region must be 'train' or 'test', got {region!r}")
     q = len(series)
+    spec.check_length(q)
     w, f, test_len = spec.window, spec.horizon, spec.test_len
-    if q - test_len < w + f:
-        raise ValueError(
-            f"series too short: Q={q}, window={w}, horizon={f}, test_len={test_len} "
-            f"leaves no training window (need Q - test_len >= window + horizon)")
 
     if region == "train":
         # Inputs and targets both confined to [0, Q - test_len).

@@ -29,8 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cells import (CELL_PARAMS, DenseParams, ModelState, backward_batch,
-                    init_model, tensor_shapes)
+from .cells import ModelState, backward_batch, init_model, tensor_shapes
 from .dataprep import WindowedDataset
 from .numkit import NumericError, Rng, ShapeError
 
@@ -173,8 +172,6 @@ def train(kind: str, dataset: WindowedDataset, config: TrainConfig,
     adam = AdamState(learning_rate=config.learning_rate, beta1=config.beta1,
                      beta2=config.beta2, eps=config.eps)
 
-    params = model.tensors()
-    grads = model.grad_tensors()
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n) if config.shuffle else np.arange(n)
@@ -182,10 +179,10 @@ def train(kind: str, dataset: WindowedDataset, config: TrainConfig,
         for b, lo in enumerate(range(0, n, config.batch_size)):
             idx = order[lo:lo + config.batch_size]
             try:
-                loss = backward_batch(model, dataset.inputs[idx], dataset.targets[idx])
+                loss, grads = backward_batch(model, dataset.inputs[idx], dataset.targets[idx])
                 if config.grad_clip is not None:
                     clip_gradients(grads, config.grad_clip)
-                adam_step(adam, params, grads)
+                adam_step(adam, model.params, grads)
             except NumericError as exc:
                 raise NumericError(
                     f"training diverged at epoch {epoch + 1}, batch {b + 1}: {exc}"
@@ -304,12 +301,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointCorruptError(
             f"{kind} checkpoint has unexpected tensors {sorted(tensors.keys() - names)} "
             f"and lacks {sorted(names - tensors.keys())}")
-    params = CELL_PARAMS[kind]
-    cell = params(**{f: tensors[f] for f in params.__dataclass_fields__})
-    head = DenseParams(weight=tensors["w_out"], bias=tensors["b_out"])
     try:
-        model = ModelState(kind=kind, cell=cell, head=head,
-                           units=units, window=window, horizon=horizon)
+        model = ModelState(kind, {name: tensors[name] for name in names}, window)
+        if (model.units, model.horizon) != (units, horizon):
+            raise ShapeError(f"tensors have units={model.units}, horizon={model.horizon}, "
+                             f"header has units={units}, horizon={horizon}")
     except ValueError as exc:
         raise CheckpointCorruptError(f"checkpoint contradicts its header: {exc}") from exc
     return Checkpoint(model=model,

@@ -16,7 +16,7 @@ import numpy.testing as npt
 import pytest
 
 from rnncast import cells
-from rnncast.cells import GruParams, LstmParams, backward_batch, init_model
+from rnncast.cells import backward_batch, init_model, tensor_shapes
 from rnncast.numkit import NumericError, Rng, ShapeError
 
 
@@ -26,7 +26,7 @@ def sigmoid_scalar(a):
 
 def lstm_oracle(params, xs):
     """Scalar-loop LSTM: returns (hidden_trace, cell_trace) lists of lists."""
-    U = params.units
+    U = len(params["b_i"])
     h = [0.0] * U
     c = [0.0] * U
     hs, cs = [], []
@@ -36,15 +36,15 @@ def lstm_oracle(params, xs):
         o = [0.0] * U
         g = [0.0] * U
         for j in range(U):
-            ai = params.w_i[j] * x + params.b_i[j]
-            af = params.w_f[j] * x + params.b_f[j]
-            ao = params.w_o[j] * x + params.b_o[j]
-            ag = params.w_g[j] * x + params.b_g[j]
+            ai = params["w_i"][j] * x + params["b_i"][j]
+            af = params["w_f"][j] * x + params["b_f"][j]
+            ao = params["w_o"][j] * x + params["b_o"][j]
+            ag = params["w_g"][j] * x + params["b_g"][j]
             for k in range(U):
-                ai += params.u_i[j, k] * h[k]
-                af += params.u_f[j, k] * h[k]
-                ao += params.u_o[j, k] * h[k]
-                ag += params.u_g[j, k] * h[k]
+                ai += params["u_i"][j, k] * h[k]
+                af += params["u_f"][j, k] * h[k]
+                ao += params["u_o"][j, k] * h[k]
+                ag += params["u_g"][j, k] * h[k]
             i[j] = sigmoid_scalar(ai)
             f[j] = sigmoid_scalar(af)
             o[j] = sigmoid_scalar(ao)
@@ -57,25 +57,25 @@ def lstm_oracle(params, xs):
 
 
 def gru_oracle(params, xs):
-    U = params.units
+    U = len(params["b_z"])
     h = [0.0] * U
     hs = []
     for x in xs:
         z = [0.0] * U
         r = [0.0] * U
         for j in range(U):
-            az = params.w_z[j] * x + params.b_z[j]
-            ar = params.w_r[j] * x + params.b_r[j]
+            az = params["w_z"][j] * x + params["b_z"][j]
+            ar = params["w_r"][j] * x + params["b_r"][j]
             for k in range(U):
-                az += params.u_z[j, k] * h[k]
-                ar += params.u_r[j, k] * h[k]
+                az += params["u_z"][j, k] * h[k]
+                ar += params["u_r"][j, k] * h[k]
             z[j] = sigmoid_scalar(az)
             r[j] = sigmoid_scalar(ar)
         n = [0.0] * U
         for j in range(U):
-            an = params.w_n[j] * x + params.b_n[j]
+            an = params["w_n"][j] * x + params["b_n"][j]
             for k in range(U):
-                an += params.u_n[j, k] * (r[k] * h[k])
+                an += params["u_n"][j, k] * (r[k] * h[k])
             n[j] = math.tanh(an)
         h = [(1.0 - z[j]) * n[j] + z[j] * h[j] for j in range(U)]
         hs.append(list(h))
@@ -84,6 +84,11 @@ def gru_oracle(params, xs):
 
 def make_state(kind, units=4, window=5, horizon=2, seed=11):
     return init_model(kind, units, window, horizon, Rng(seed))
+
+
+def zero_params(kind, units):
+    """A plain name -> array dict of all-zero tensors for a `kind` cell and head."""
+    return {name: np.zeros(shape) for name, shape in tensor_shapes(kind, units, 1).items()}
 
 
 def trace(kind, params, xs):
@@ -99,8 +104,8 @@ class TestForwardOracle:
         state = make_state("lstm", units=3, window=6, seed=7)
         rng = np.random.default_rng(0)
         xs = rng.uniform(-1.5, 1.5, size=6)
-        hidden, cell = trace("lstm", state.cell, xs)
-        hs, cs = lstm_oracle(state.cell, xs)
+        hidden, cell = trace("lstm", state.params, xs)
+        hs, cs = lstm_oracle(state.params, xs)
         npt.assert_allclose(hidden, hs, rtol=1e-12, atol=1e-15)
         npt.assert_allclose(cell, cs, rtol=1e-12, atol=1e-15)
 
@@ -108,16 +113,16 @@ class TestForwardOracle:
         state = make_state("gru", units=3, window=6, seed=8)
         rng = np.random.default_rng(1)
         xs = rng.uniform(-1.5, 1.5, size=6)
-        hidden, _ = trace("gru", state.cell, xs)
-        hs = gru_oracle(state.cell, xs)
+        hidden, _ = trace("gru", state.params, xs)
+        hs = gru_oracle(state.params, xs)
         npt.assert_allclose(hidden, hs, rtol=1e-12, atol=1e-15)
 
     def test_dense_matches_by_hand(self):
         state = make_state("lstm", units=3, window=6, horizon=2, seed=9)
         xs = np.random.default_rng(2).uniform(-1.5, 1.5, size=6)
-        hs, _ = lstm_oracle(state.cell, xs)
+        hs, _ = lstm_oracle(state.params, xs)
         npt.assert_allclose(state.forecast(xs[None, :])[0],
-                            state.head.weight @ hs[-1] + state.head.bias,
+                            state.params["w_out"] @ hs[-1] + state.params["b_out"],
                             rtol=1e-12, atol=1e-15)
 
 
@@ -126,10 +131,8 @@ class TestForwardBehavior:
         # i=f=o=0.5 and g=0 make c and h stay exactly zero; same for the GRU
         # where h is pulled toward n=0.
         U = 4
-        z = lambda: np.zeros(U)
-        zz = lambda: np.zeros((U, U))
-        lstm = LstmParams(z(), zz(), z(), z(), zz(), z(), z(), zz(), z(), z(), zz(), z())
-        gru = GruParams(z(), zz(), z(), z(), zz(), z(), z(), zz(), z())
+        lstm = zero_params("lstm", U)
+        gru = zero_params("gru", U)
         xs = np.array([0.4, -1.2, 0.9])
         npt.assert_array_equal(trace("lstm", lstm, xs)[0], np.zeros((3, U)))
         npt.assert_array_equal(trace("gru", gru, xs)[0], np.zeros((3, U)))
@@ -138,14 +141,8 @@ class TestForwardBehavior:
         # Open input/output gates, closed forget gate: h_t -> tanh(tanh(x_t)).
         U = 2
         big = 50.0
-        z = lambda: np.zeros(U)
-        zz = lambda: np.zeros((U, U))
-        params = LstmParams(
-            w_i=z(), u_i=zz(), b_i=np.full(U, big),
-            w_f=z(), u_f=zz(), b_f=np.full(U, -big),
-            w_o=z(), u_o=zz(), b_o=np.full(U, big),
-            w_g=np.ones(U), u_g=zz(), b_g=z(),
-        )
+        params = {**zero_params("lstm", U), "b_i": np.full(U, big),
+                  "b_f": np.full(U, -big), "b_o": np.full(U, big), "w_g": np.ones(U)}
         xs = np.array([0.3, -0.7, 1.1])
         hidden, _ = trace("lstm", params, xs)
         expected = np.tanh(np.tanh(xs))
@@ -155,26 +152,14 @@ class TestForwardBehavior:
     def test_gru_saturated_update_gate_freezes_state(self):
         # z ~= 1 copies the previous hidden state forever, so h stays at 0.
         U = 3
-        z = lambda: np.zeros(U)
-        zz = lambda: np.zeros((U, U))
-        params = GruParams(
-            w_z=z(), u_z=zz(), b_z=np.full(U, 50.0),
-            w_r=z(), u_r=zz(), b_r=z(),
-            w_n=np.ones(U), u_n=zz(), b_n=z(),
-        )
+        params = {**zero_params("gru", U), "b_z": np.full(U, 50.0), "w_n": np.ones(U)}
         hidden, _ = trace("gru", params, np.array([2.0, -3.0, 1.0, 4.0]))
         npt.assert_allclose(hidden, np.zeros((4, U)), atol=1e-12)
 
     def test_gru_open_update_gate_tracks_candidate(self):
         # z ~= 0 replaces the state with the candidate: h_t -> tanh(x_t).
         U = 2
-        z = lambda: np.zeros(U)
-        zz = lambda: np.zeros((U, U))
-        params = GruParams(
-            w_z=z(), u_z=zz(), b_z=np.full(U, -50.0),
-            w_r=z(), u_r=zz(), b_r=z(),
-            w_n=np.ones(U), u_n=zz(), b_n=z(),
-        )
+        params = {**zero_params("gru", U), "b_z": np.full(U, -50.0), "w_n": np.ones(U)}
         xs = np.array([0.5, -0.25])
         hidden, _ = trace("gru", params, xs)
         for t in range(2):
@@ -184,18 +169,19 @@ class TestForwardBehavior:
     def test_hidden_state_stays_bounded(self, kind):
         state = make_state(kind, units=6, window=40, seed=3)
         # Scale the weights up to push the gates around and feed large inputs.
-        for t in state.cell.tensors().values():
-            t *= 8.0
+        for name, t in state.params.items():
+            if not name.endswith("_out"):  # the cell's tensors, not the head's
+                t *= 8.0
         rng = np.random.default_rng(5)
         xs = rng.uniform(-50.0, 50.0, size=40)
-        hidden, _ = trace(kind, state.cell, xs)
+        hidden, _ = trace(kind, state.params, xs)
         assert np.abs(hidden).max() <= 1.0
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_forward_is_deterministic(self, kind):
         state = make_state(kind)
         xs = np.linspace(-1, 1, 5)
-        npt.assert_array_equal(trace(kind, state.cell, xs)[0], trace(kind, state.cell, xs)[0])
+        npt.assert_array_equal(trace(kind, state.params, xs)[0], trace(kind, state.params, xs)[0])
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_collected_steps_equal_copies_taken_at_each_yield(self, kind):
@@ -210,7 +196,7 @@ class TestForwardBehavior:
                 copies.append(tuple(a.copy() for a in step))
                 yield step
 
-        collected = list(copying(cells._STEPS[kind](state.cell, xs)))
+        collected = list(copying(cells._STEPS[kind](state.params, xs)))
         assert len(collected) == 7
         for step, copy in zip(collected, copies):
             for value, expected in zip(step, copy):
@@ -221,13 +207,12 @@ class TestInit:
     def test_weights_within_scale_and_biases_zero(self):
         state = init_model("lstm", 16, 10, 3, Rng(42))
         bound = 1.0 / math.sqrt(16)
-        for name, tensor in state.cell.tensors().items():
+        for name, tensor in state.params.items():  # the head's w_out and b_out too
             if name.startswith("b_"):
                 npt.assert_array_equal(tensor, np.zeros_like(tensor))
             else:
                 assert np.abs(tensor).max() < bound, name
-        assert np.abs(state.head.weight).max() < bound
-        npt.assert_array_equal(state.head.bias, np.zeros(3))
+        npt.assert_array_equal(state.params["b_out"], np.zeros(3))
 
     def test_same_seed_same_model(self):
         a = init_model("gru", 8, 12, 4, Rng(99))
@@ -258,9 +243,9 @@ def finite_diff_grads(state, xs, ys, eps=1e-5):
             idx = it.multi_index
             saved = tensor[idx]
             tensor[idx] = saved + eps
-            lp = backward_batch(state, xs, ys)
+            lp, _ = backward_batch(state, xs, ys)
             tensor[idx] = saved - eps
-            lm = backward_batch(state, xs, ys)
+            lm, _ = backward_batch(state, xs, ys)
             tensor[idx] = saved
             g[idx] = (lp - lm) / (2.0 * eps)
         numeric[name] = g
@@ -280,8 +265,7 @@ class TestGradients:
         xs = rng.uniform(-1.0, 1.0, size=(1, 5))
         ys = rng.uniform(-1.0, 1.0, size=(1, 2))
         numeric = finite_diff_grads(state, xs, ys)
-        backward_batch(state, xs, ys)
-        analytic = state.grad_tensors()
+        _, analytic = backward_batch(state, xs, ys)
         for name in numeric:
             err = max_rel_err(analytic[name], numeric[name])
             assert err <= 1e-4, f"{kind} {name}: rel err {err:.3e}"
@@ -293,8 +277,7 @@ class TestGradients:
         xs = rng.uniform(-1.0, 1.0, size=(4, 7))
         ys = rng.uniform(-1.0, 1.0, size=(4, 3))
         numeric = finite_diff_grads(state, xs, ys)
-        backward_batch(state, xs, ys)
-        analytic = state.grad_tensors()
+        _, analytic = backward_batch(state, xs, ys)
         for name in numeric:
             err = max_rel_err(analytic[name], numeric[name])
             assert err <= 1e-4, f"{kind} {name}: rel err {err:.3e}"
@@ -309,12 +292,13 @@ class TestGradients:
         singles = []
         losses = []
         for j in range(3):
-            losses.append(backward_batch(state, xs[j:j + 1], ys[j:j + 1]))
-            singles.append({k: v.copy() for k, v in state.grad_tensors().items()})
+            loss, grads = backward_batch(state, xs[j:j + 1], ys[j:j + 1])
+            losses.append(loss)
+            singles.append(grads)
 
-        batch_loss = backward_batch(state, xs, ys)
+        batch_loss, batch_grads = backward_batch(state, xs, ys)
         npt.assert_allclose(batch_loss, np.mean(losses), rtol=1e-12)
-        for name, got in state.grad_tensors().items():
+        for name, got in batch_grads.items():
             want = np.mean([s[name] for s in singles], axis=0)
             npt.assert_allclose(got, want, rtol=1e-9, atol=1e-12,
                                 err_msg=name)
@@ -324,9 +308,29 @@ class TestGradients:
         rng = np.random.default_rng(14)
         xs = rng.uniform(-1, 1, size=(1, 5))
         ys = rng.uniform(-1, 1, size=(1, 2))
-        loss = backward_batch(state, xs, ys)
+        loss, _ = backward_batch(state, xs, ys)
         preds = state.forecast(xs)
         npt.assert_allclose(loss, np.mean((preds[0] - ys[0]) ** 2), rtol=1e-12)
+
+    def test_grads_are_new_arrays_keyed_like_params(self):
+        # The returned dict has params' names, order and shapes, and a later
+        # call writes neither into it nor into params.
+        for kind in ("lstm", "gru"):
+            state = make_state(kind)
+            rng = np.random.default_rng(19)
+            xs, ys = rng.uniform(-1, 1, (2, 5)), rng.uniform(-1, 1, (2, 2))
+            params = {k: v.copy() for k, v in state.params.items()}
+            _, first = backward_batch(state, xs, ys)
+            assert list(first) == list(state.params)
+            for name, g in first.items():
+                assert g.shape == state.params[name].shape, name
+            assert any(np.abs(g).max() > 0 for g in first.values())
+            kept = {k: v.copy() for k, v in first.items()}
+            _, second = backward_batch(state, xs[::-1] * 0.5, ys[::-1])
+            for name in first:
+                assert not np.array_equal(second[name], first[name]), name
+                npt.assert_array_equal(first[name], kept[name], err_msg=name)
+                npt.assert_array_equal(state.params[name], params[name], err_msg=name)
 
 
 class TestShapeAndErrors:
@@ -370,18 +374,9 @@ class TestForecast:
         preds = state.forecast(xs)
         assert preds.shape == (4, 3)
         for j in range(4):
-            hidden, _ = trace(kind, state.cell, xs[j])
-            npt.assert_allclose(preds[j], state.head.weight @ hidden[-1] + state.head.bias,
+            hidden, _ = trace(kind, state.params, xs[j])
+            npt.assert_allclose(preds[j], state.params["w_out"] @ hidden[-1] + state.params["b_out"],
                                 rtol=1e-12, atol=1e-15)
-
-    def test_zero_grads_clears_buffers(self):
-        state = make_state("lstm")
-        backward_batch(state, np.full((1, 5), 0.1), np.zeros((1, 2)))
-        assert any(np.abs(g).max() > 0 for g in state.grad_tensors().values())
-        state.zero_grads()
-        for g in state.grad_tensors().values():
-            npt.assert_array_equal(g, np.zeros_like(g))
-
 
 class TestSigmoid:
     def test_matches_reciprocal_formula(self):
@@ -396,7 +391,7 @@ class TestSigmoid:
 
     def test_step_generator_leaves_float_error_state_alone(self):
         before = np.geterr()
-        steps = cells._lstm_steps(make_state("lstm").cell, np.full((1, 5), 1e3))
+        steps = cells._lstm_steps(make_state("lstm").params, np.full((1, 5), 1e3))
         next(steps)  # suspended mid-loop: the caller runs under its own state
         assert np.geterr() == before
 

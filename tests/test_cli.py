@@ -7,6 +7,8 @@ evaluate/plot/manifest tests inspect, so the pipeline only trains once.
 import json
 import os
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
@@ -206,6 +208,20 @@ class TestTrain:
         assert "train_series_index 5 out of range: dataset has 2 series" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("models", [[], ["--models", "baseline"]],
+                             ids=["networks", "baseline only"])
+    def test_series_too_short_for_window_exits_2_before_any_write(self, tmp_path, capsys,
+                                                                  models):
+        out = tmp_path / "out"
+        rc = main(["run", "--dataset", "activities", "--length", "100", "--series", "2",
+                   "--window", "60", "--test-len", "50", "--epochs", "1", "--units", "2",
+                   *models, "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generate stage failed: series too short: Q=100, ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--epochs", "0"], ["--units", "0"], ["--batch-size", "0"],
         ["--test-len", "0"], ["--learning-rate", "-1"], ["--grad-clip", "0"],
@@ -263,7 +279,7 @@ class TestEvaluate:
     def test_checkpoint_contradicting_header_exits_2(self, tmp_path, capsys, tensor):
         model = init_model("gru", 4, 10, 1, Rng(0))
         if tensor == "u_z":
-            model.cell.u_z = np.zeros((3, 3))  # header says units=4
+            model.params["u_z"] = np.zeros((3, 3))  # header says units=4
         else:
             tensors = model.tensors()
             model.tensors = lambda: {**tensors, tensor: np.zeros(4)}
@@ -511,6 +527,17 @@ class TestMainEntry:
         assert err.startswith("error: generate stage failed: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("module", ["rnncast", "rnncast.cli"])
+    def test_python_dash_m_runs_the_command_line(self, tmp_path, module):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", module, "run", "--epochs", "0"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: epochs must be >= 1, got 0"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,5 +1,7 @@
 """Optimizer, training-loop, and checkpoint round-trip tests."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -256,9 +258,26 @@ class TestCheckpointIO:
 
     def test_tensor_shape_contradicting_header_is_corrupt(self, tmp_path):
         cp, path = self.trained(tmp_path, "gru")
-        cp.model.cell.u_z = np.zeros((3, 3))  # header says units=5
+        cp.model.params["u_z"] = np.zeros((3, 3))  # header says units=5
         save_checkpoint(cp, path)
         with pytest.raises(CheckpointCorruptError, match="'u_z'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault", ["header units", "header horizon", "1-d w_out"])
+    def test_dims_contradicting_header_or_head_are_corrupt(self, tmp_path, fault):
+        # units and horizon are read off w_out, so the header's copies and
+        # w_out's rank are checked against each other on load.
+        cp, path = self.trained(tmp_path, "gru")
+        if fault == "1-d w_out":
+            tensors = {**cp.model.tensors(), "w_out": cp.model.params["w_out"].ravel()}
+            cp.model.tensors = lambda: tensors
+            save_checkpoint(cp, path)
+        else:
+            blob = bytearray(path.read_bytes())
+            at = 7 if fault == "header units" else 15  # after magic, version, kind
+            blob[at:at + 4] = struct.pack("<I", struct.unpack_from("<I", blob, at)[0] + 1)
+            path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointCorruptError, match="contradicts its header"):
             load_checkpoint(path)
 
     def test_unexpected_tensor_is_corrupt(self, tmp_path):
