@@ -19,21 +19,18 @@ recurrent term of the candidate):
     n_t = tanh   (w_n * x_t + u_n @ (r_t * h_{t-1}) + b_n)
     h_t = (1 - z_t) * n_t + z_t * h_{t-1}
 
-Head: prediction = weight @ h_last + bias, linear (forecasts live in
+Head: prediction = w_out @ h_last + b_out, linear (forecasts live in
 normalized space but are never clamped).
 
 The API is batched only: `ModelState.forecast` and `backward_batch` take a
-stack of windows, shape (batch, window), and a single window is the batch
-of one, `window[None, :]`. A model's parameters are one dict from tensor
-name (w_i, u_i, b_i, ..., w_out, b_out) to array, as `tensor_shapes`
-declares them; checkpoints, Adam and the cells all read that dict, and
-`backward_batch` returns the gradients as a new dict under the same names.
-Gradients are exact means of per-sample gradients. The loss is MSE
-averaged over horizon steps, matching the gradient of
-(1/horizon) * sum((pred - target)^2) per sample. Each cell's
-equations exist once, in a step generator that serves both `forecast` and
-training, and once more, differentiated, in its backward pass, which reads
-the arrays that generator yielded for each step, uncopied.
+stack of windows (batch, window); one window is `window[None, :]`. A model's
+parameters are one name -> array dict in `tensor_shapes` order, and
+`backward_batch` returns the MSE loss and the exact mean of per-sample
+gradients as a new dict under the same names. Each cell's equations exist
+once in a step generator serving both, and once more, differentiated, in its
+backward pass, which reads the generator's arrays uncopied. Both stack a
+gate group's tensors gate-major per call: one product and one activation
+call per group, with the bits of separate per-gate products.
 """
 
 from __future__ import annotations
@@ -54,10 +51,8 @@ def tensor_shapes(kind: str, units: int, horizon: int) -> dict[str, tuple]:
     head's w_out (horizon, units) and b_out (horizon,)."""
     if kind not in GATES:
         raise ValueError(f"unknown cell kind {kind!r}, expected one of {CELL_KINDS}")
-    shapes = {}
-    for gate in GATES[kind]:
-        shapes.update({f"w_{gate}": (units,), f"u_{gate}": (units, units),
-                       f"b_{gate}": (units,)})
+    shapes = {f"{t}_{gate}": (units, units) if t == "u" else (units,)
+              for gate in GATES[kind] for t in "wub"}
     shapes.update(w_out=(horizon, units), b_out=(horizon,))
     return shapes
 
@@ -136,105 +131,133 @@ def init_model(kind: str, units: int, window: int, horizon: int, rng: Rng) -> Mo
 
 
 # ---------------------------------------------------------------------------
-# Step generators and BPTT. Shapes: xs (B, T); gates and states (B, U) per
-# step; `p` is the model's name -> array dict. One step generator per cell
-# serves both `forecast`, which keeps only the last h, and training, whose
-# backward reads every step's tuple and adds into the gradient dict.
+# Step generators and BPTT. Shapes: xs (B, T); states (B, U); a gate group is
+# one (G, B, U) block. `p` is the model's name -> array dict; `_pack` stacks
+# its gate tensors per call, and `np.matmul` runs one GEMM per gate on the
+# operands of a per-gate `h @ u.T`, which keeps every bit.
 # ---------------------------------------------------------------------------
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-a)): exactly 0.0, with no warning, where exp(-a) overflows."""
+    """a <- 1 / (1 + exp(-a)), in place, returning a: exactly 0.0, with no
+    warning, where exp(-a) overflows."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-a))
+        np.exp(np.negative(a, out=a), out=a)
+        a += 1.0
+        return np.divide(1.0, a, out=a)
+
+
+def _pack(p: dict, gates: str) -> tuple:
+    """w (G, 1, U), u (G, U, U) and b (G, 1, U) of `gates`, stacked in that order."""
+    w, u, b = (np.stack([p[f"{t}_{g}"] for g in gates]) for t in "wub")
+    return w[:, None], u, b[:, None]
+
+
+def _gate_block(h, u, x, w, b, xw) -> np.ndarray:
+    """New (G, B, U) block h @ u.T + x * w + b; `xw` is a reused buffer for x * w."""
+    a = np.matmul(h, u.transpose(0, 2, 1))
+    a += np.multiply(x, w, out=xw)
+    a += b
+    return a
 
 
 def _lstm_steps(p: dict, xs: np.ndarray):
-    """Yield (i, f, o, g, tanh_c, c, h) for each step, from zero state; every
-    yielded array is new and never written again."""
-    B, T = xs.shape
-    h = np.zeros((B, p["u_i"].shape[0]))
-    c = np.zeros((B, p["u_i"].shape[0]))
-    for t in range(T):
-        x = xs[:, t:t + 1]
-        i = _sigmoid(x * p["w_i"] + h @ p["u_i"].T + p["b_i"])
-        f = _sigmoid(x * p["w_f"] + h @ p["u_f"].T + p["b_f"])
-        o = _sigmoid(x * p["w_o"] + h @ p["u_o"].T + p["b_o"])
-        g = np.tanh(x * p["w_g"] + h @ p["u_g"].T + p["b_g"])
+    """Yield (gates, tanh_c, c, h) for each step, from zero state; gates is
+    the (4, B, U) block of i, f, o, g. Every yielded array is new and never
+    written again."""
+    w, u, b = _pack(p, "ifog")
+    xw = np.empty((4, len(xs), u.shape[1]))
+    h = c = np.zeros(xw.shape[1:])
+    for t in range(xs.shape[1]):
+        s = _gate_block(h, u, xs[:, t:t + 1], w, b, xw)
+        _sigmoid(s[:3])
+        np.tanh(s[3], out=s[3])
+        i, f, o, g = s
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        yield i, f, o, g, tc, c, h
-        del tc  # frees tanh(c) while the next step is computed
+        yield s, tc, c, h
+        del s, tc, i, f, o, g  # frees this step's block while the next is computed
 
 
 def _gru_steps(p: dict, xs: np.ndarray):
-    """Yield (z, r, n, rh, h) for each step, from zero state; rh = r_t * h_{t-1}.
-    Every yielded array is new and never written again."""
-    B, T = xs.shape
-    h = np.zeros((B, p["u_z"].shape[0]))
-    for t in range(T):
+    """Yield (gates, n, rh, h) for each step, from zero state; gates is the
+    (2, B, U) block of z, r, and rh = r_t * h_{t-1}. Every yielded array is
+    new and never written again."""
+    w, u, b = _pack(p, "zr")
+    xw = np.empty((2, len(xs), u.shape[1]))
+    h = np.zeros(xw.shape[1:])
+    for t in range(xs.shape[1]):
         x = xs[:, t:t + 1]
-        z = _sigmoid(x * p["w_z"] + h @ p["u_z"].T + p["b_z"])
-        r = _sigmoid(x * p["w_r"] + h @ p["u_r"].T + p["b_r"])
+        s = _gate_block(h, u, x, w, b, xw)
+        z, r = _sigmoid(s)
         rh = r * h
         n = np.tanh(x * p["w_n"] + rh @ p["u_n"].T + p["b_n"])
         h = (1.0 - z) * n + z * h
-        yield z, r, n, rh, h
+        yield s, n, rh, h
+        del s, z, r  # frees this step's block while the next is computed
 
 
 _STEPS = {"lstm": _lstm_steps, "gru": _gru_steps}
 
 
-def _gate_grads(kind: str, grads: dict) -> list[tuple]:
-    """(dw, du, db) of each gate of `kind`, in `GATES` order."""
-    return [(grads[f"w_{g}"], grads[f"u_{g}"], grads[f"b_{g}"]) for g in GATES[kind]]
+def _grad_stacks(gates: str, B: int, U: int) -> tuple:
+    """Zeroed dw (G, 1, U), du (G, U, U), db (G, U), a (G, B, U) buffer for
+    one step's gate deltas, and the stacks' per-gate views by tensor name."""
+    dw, du, db = (np.zeros((len(gates),) + shape) for shape in ((1, U), (U, U), (U,)))
+    views = {f"{t}_{g}": a[k] for k, g in enumerate(gates)
+             for t, a in zip("wub", (dw[:, 0], du, db))}
+    return dw, du, db, np.empty((len(gates), B, U)), views
 
 
-def _lstm_backward(p: dict, grads: dict, xs: np.ndarray, dh: np.ndarray,
-                   steps: list) -> None:
-    """Add the BPTT gradients of dh (loss w.r.t. the final h) into `grads`."""
-    gates = _gate_grads("lstm", grads)
+def _lstm_backward(p: dict, xs: np.ndarray, dh: np.ndarray, steps: list) -> dict:
+    """BPTT gradients of dh (loss w.r.t. the final h), by tensor name."""
+    u = _pack(p, "ifog")[1]
+    dw, du, db, da, grads = _grad_stacks("ifog", *dh.shape)
     zero = np.zeros_like(dh)  # c_0 and h_0
     dc = np.zeros_like(dh)
     for t in range(xs.shape[1] - 1, -1, -1):
-        i, f, o, g, tc, _, _ = steps[t]
-        c_prev, h_prev = steps[t - 1][5:] if t else (zero, zero)
-        x = xs[:, t]
+        s, tc, _, _ = steps[t]
+        i, f, o, g = s
+        c_prev, h_prev = steps[t - 1][2:] if t else (zero, zero)
+        dc += dh * o * (1.0 - tc * tc)
+        np.multiply(dc, g, out=da[0])
+        np.multiply(dc, c_prev, out=da[1])
+        np.multiply(dh, tc, out=da[2])
+        da[:3] *= s[:3]
+        da[:3] *= 1.0 - s[:3]
+        np.multiply(dc, i, out=da[3])
+        da[3] *= 1.0 - g * g
+        du += np.matmul(da.transpose(0, 2, 1), h_prev)
+        dw += np.matmul(xs[None, :, t], da)
+        db += da.sum(axis=1)
+        dh = np.matmul(da, u).sum(axis=0)
+        dc *= f
+    return grads
 
-        dc = dc + dh * o * (1.0 - tc * tc)
-        da_i = dc * g * i * (1.0 - i)
-        da_f = dc * c_prev * f * (1.0 - f)
-        da_o = dh * tc * o * (1.0 - o)
-        da_g = dc * i * (1.0 - g * g)
-        for (dw, du, db), da in zip(gates, (da_i, da_f, da_o, da_g)):
-            dw += x @ da
-            du += da.T @ h_prev
-            db += da.sum(axis=0)
 
-        dh = da_i @ p["u_i"] + da_f @ p["u_f"] + da_o @ p["u_o"] + da_g @ p["u_g"]
-        dc = dc * f
-
-
-def _gru_backward(p: dict, grads: dict, xs: np.ndarray, dh: np.ndarray,
-                  steps: list) -> None:
-    """Add the BPTT gradients of dh (loss w.r.t. the final h) into `grads`."""
-    gates = _gate_grads("gru", grads)
+def _gru_backward(p: dict, xs: np.ndarray, dh: np.ndarray, steps: list) -> dict:
+    """BPTT gradients of dh (loss w.r.t. the final h), by tensor name."""
+    u = _pack(p, "zr")[1]
+    dw, du, db, da, grads = _grad_stacks("zrn", *dh.shape)
     zero = np.zeros_like(dh)  # h_0
     for t in range(xs.shape[1] - 1, -1, -1):
-        z, r, n, rh, _ = steps[t]
+        s, n, rh, _ = steps[t]
+        z, r = s
         h_prev = steps[t - 1][-1] if t else zero
-        x = xs[:, t]
-
-        da_n = dh * (1.0 - z) * (1.0 - n * n)
-        drh = da_n @ p["u_n"]
-        da_z = dh * (h_prev - n) * z * (1.0 - z)
-        da_r = drh * h_prev * r * (1.0 - r)
-        for (dw, du, db), da, h_in in zip(gates, (da_z, da_r, da_n), (h_prev, h_prev, rh)):
-            dw += x @ da
-            du += da.T @ h_in
-            db += da.sum(axis=0)
-
-        dh = dh * z + drh * r + da_z @ p["u_z"] + da_r @ p["u_r"]
+        np.multiply(dh, 1.0 - z, out=da[2])
+        da[2] *= 1.0 - n * n
+        drh = da[2] @ p["u_n"]
+        np.multiply(dh, h_prev - n, out=da[0])
+        np.multiply(drh, h_prev, out=da[1])
+        da[:2] *= s
+        da[:2] *= 1.0 - s
+        du[:2] += np.matmul(da[:2].transpose(0, 2, 1), h_prev)
+        du[2] += da[2].T @ rh  # n acts on r * h
+        dw += np.matmul(xs[None, :, t], da)
+        db += da.sum(axis=1)
+        dh_zr = np.matmul(da[:2], u)
+        dh = dh * z + drh * r + dh_zr[0] + dh_zr[1]
+    return grads
 
 
 _BACKWARDS = {"lstm": _lstm_backward, "gru": _gru_backward}
@@ -242,12 +265,9 @@ _BACKWARDS = {"lstm": _lstm_backward, "gru": _gru_backward}
 
 def backward_batch(state: ModelState, inputs: np.ndarray,
                    targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """MSE loss and gradients for a stack of windows.
-
-    Loss is the batch mean of per-sample (1/horizon) * sum(squared error).
-    Returns (loss, grads): `grads` is a new dict under `state.params`' names
-    holding the exact mean of per-sample gradients.
-    """
+    """(loss, grads) for a stack of windows: the batch mean of per-sample
+    (1/horizon) * sum(squared error), and a new dict under `state.params`'
+    names holding the exact mean of per-sample gradients."""
     xs = np.asarray(inputs, dtype=np.float64)
     ys = np.asarray(targets, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != state.window:
@@ -260,10 +280,7 @@ def backward_batch(state: ModelState, inputs: np.ndarray,
     if xs.shape[0] < 1:
         raise ShapeError("backward: empty batch")
 
-    B = xs.shape[0]
-    F = state.horizon
-    p = state.params
-
+    B, F, p = xs.shape[0], state.horizon, state.params
     steps = list(_STEPS[state.kind](p, xs))
     h_last = steps[-1][-1]  # (B, U)
 
@@ -274,10 +291,9 @@ def backward_batch(state: ModelState, inputs: np.ndarray,
     if not np.isfinite(loss):
         raise NumericError("backward: non-finite loss")
 
-    grads = {name: np.zeros_like(a) for name, a in p.items()}
     dpred = (2.0 / (F * B)) * err                # (B, F)
+    dh = dpred @ p["w_out"]                      # (B, U)
+    grads = _BACKWARDS[state.kind](p, xs, dh, steps)
     grads["w_out"] = dpred.T @ h_last            # (F, U)
     grads["b_out"] = dpred.sum(axis=0)           # (F,)
-    dh = dpred @ p["w_out"]                      # (B, U)
-    _BACKWARDS[state.kind](p, grads, xs, dh, steps)
     return loss, grads

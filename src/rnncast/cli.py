@@ -34,7 +34,8 @@ check, because each worker imports the script's main module.
 a flag whose parameter the chosen generator does not take is an error.
 
 Exit codes: 0 success, 2 usage/config/data error, 3 numeric failure during
-training.
+training, 4 a training worker process died (killed, say, by the OS when out
+of memory); a run that stops on an error writes no manifest.json.
 """
 
 from __future__ import annotations
@@ -706,6 +707,14 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # A training worker that died. Imported here, not at the top: the pool
+        # module loads multiprocessing and socket, which `import rnncast` skips.
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"error: a training worker died ({exc})", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

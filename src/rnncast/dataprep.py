@@ -81,6 +81,10 @@ class PartitionSpec:
 class WindowedDataset:
     """Stacked windows: inputs (N, window), targets (N, horizon).
 
+    `make_windows` returns both as read-only strided views of the series'
+    values, so cutting windows copies nothing; a caller that needs its own
+    array (training's shuffled batches) copies by fancy indexing.
+
     origins[i] is the source index of the first input sample of row i, so
     window i spans [origins[i], origins[i]+window) and its target follows
     immediately. The normalization bounds ride along for checkpointing.
@@ -146,8 +150,8 @@ def make_windows(series: Series, spec: PartitionSpec, region: str) -> WindowedDa
     in_view = sliding_window_view(series.values, w)
     tgt_view = sliding_window_view(series.values, f)
     return WindowedDataset(
-        inputs=in_view[start:start + n].copy(),
-        targets=tgt_view[start + w:start + w + n].copy(),
+        inputs=in_view[start:start + n],
+        targets=tgt_view[start + w:start + w + n],
         origins=np.arange(start, start + n),
         raw_min=series.raw_min,
         raw_max=series.raw_max,

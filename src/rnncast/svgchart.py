@@ -8,10 +8,15 @@ deterministic input, so charts can be byte-compared across runs.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+
+
+def _escape(text: str) -> str:
+    """`text` with &, < and > as XML entities (xml.sax.saxutils.escape's
+    output, without its import of urllib, http, email and ssl)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float, max_ticks: int) -> float:
@@ -83,7 +88,7 @@ def line_chart(curves, title: str, x_label: str, y_label: str,
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15" font-weight="bold">'
-        f'{escape(title)}</text>',
+        f'{_escape(title)}</text>',
     ]
 
     # Gridlines and tick labels.
@@ -108,11 +113,11 @@ def line_chart(curves, title: str, x_label: str, y_label: str,
                  f'y2="{top + plot_h}" stroke="black" stroke-width="1.5"/>')
     parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 12}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-                 f'{escape(x_label)}</text>')
+                 f'{_escape(x_label)}</text>')
     parts.append(f'<text x="18" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">'
-                 f'{escape(y_label)}</text>')
+                 f'{_escape(y_label)}</text>')
 
     legend_entries = []
     color_index = 0
@@ -136,7 +141,7 @@ def line_chart(curves, title: str, x_label: str, y_label: str,
         parts.append(f'<line x1="{lx}" y1="{y}" x2="{lx + 22}" y2="{y}" '
                      f'stroke="{color}" stroke-width="2.5"/>')
         parts.append(f'<text x="{lx + 28}" y="{y + 4}" font-family="sans-serif" '
-                     f'font-size="12">{escape(label)}</text>')
+                     f'font-size="12">{_escape(label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

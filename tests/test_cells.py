@@ -96,7 +96,7 @@ def trace(kind, params, xs):
     its cell states c_1 .. c_w, read off the step generator's batch of one."""
     steps = list(cells._STEPS[kind](params, np.asarray(xs, dtype=np.float64)[None, :]))
     hidden = np.array([step[-1][0] for step in steps])
-    return hidden, np.array([step[5][0] for step in steps]) if kind == "lstm" else None
+    return hidden, np.array([step[2][0] for step in steps]) if kind == "lstm" else None
 
 
 class TestForwardOracle:
@@ -378,10 +378,24 @@ class TestForecast:
             npt.assert_allclose(preds[j], state.params["w_out"] @ hidden[-1] + state.params["b_out"],
                                 rtol=1e-12, atol=1e-15)
 
+def packages_loaded_by_import(filter_expr):
+    """Sorted top-level packages that `import rnncast, rnncast.cli` loads in
+    a fresh interpreter, as printed there after `filter_expr` (a set
+    operation on them) is applied."""
+    code = ("import sys; before = set(sys.modules); import rnncast, rnncast.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            f"{filter_expr}))")
+    src = os.path.dirname(os.path.dirname(cells.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.strip()
+
+
 class TestSigmoid:
     def test_matches_reciprocal_formula(self):
         x = np.random.default_rng(71).normal(0.0, 4.0, size=10_000)
-        npt.assert_array_equal(cells._sigmoid(x), 1.0 / (1.0 + np.exp(-x)))
+        # _sigmoid works in place, so it gets a copy.
+        npt.assert_array_equal(cells._sigmoid(x.copy()), 1.0 / (1.0 + np.exp(-x)))
 
     def test_saturates_exactly_without_warning(self):
         with warnings.catch_warnings():
@@ -396,11 +410,137 @@ class TestSigmoid:
         assert np.geterr() == before
 
     def test_package_import_loads_no_dependency_but_numpy(self):
-        code = ("import sys; before = set(sys.modules); import rnncast, rnncast.cli; "
-                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
-                " - set(sys.stdlib_module_names)))")
-        src = os.path.dirname(os.path.dirname(cells.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env).stdout
-        assert out.strip() == "['numpy', 'rnncast']"
+        out = packages_loaded_by_import(" - set(sys.stdlib_module_names)")
+        assert out == "['numpy', 'rnncast']"
+
+    def test_package_import_loads_no_network_or_xml_module(self):
+        # xml.sax.saxutils pulls in urllib, http, email, ssl and socket.
+        assert packages_loaded_by_import(" & {'xml', 'http', 'email', 'ssl'}") == "[]"
+
+
+# Per-gate reference cells: one product and one activation call per gate,
+# as the cells computed them before their gate tensors were stacked. The
+# stacked cells must reproduce them bit for bit.
+
+def ref_sigmoid(a):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a))
+
+
+def ref_lstm_steps(p, xs):
+    B, T = xs.shape
+    h = np.zeros((B, p["u_i"].shape[0]))
+    c = np.zeros((B, p["u_i"].shape[0]))
+    for t in range(T):
+        x = xs[:, t:t + 1]
+        i = ref_sigmoid(x * p["w_i"] + h @ p["u_i"].T + p["b_i"])
+        f = ref_sigmoid(x * p["w_f"] + h @ p["u_f"].T + p["b_f"])
+        o = ref_sigmoid(x * p["w_o"] + h @ p["u_o"].T + p["b_o"])
+        g = np.tanh(x * p["w_g"] + h @ p["u_g"].T + p["b_g"])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        yield i, f, o, g, tc, c, h
+
+
+def ref_gru_steps(p, xs):
+    B, T = xs.shape
+    h = np.zeros((B, p["u_z"].shape[0]))
+    for t in range(T):
+        x = xs[:, t:t + 1]
+        z = ref_sigmoid(x * p["w_z"] + h @ p["u_z"].T + p["b_z"])
+        r = ref_sigmoid(x * p["w_r"] + h @ p["u_r"].T + p["b_r"])
+        rh = r * h
+        n = np.tanh(x * p["w_n"] + rh @ p["u_n"].T + p["b_n"])
+        h = (1.0 - z) * n + z * h
+        yield z, r, n, rh, h
+
+
+def ref_gate_grads(kind, grads):
+    return [(grads[f"w_{g}"], grads[f"u_{g}"], grads[f"b_{g}"]) for g in cells.GATES[kind]]
+
+
+def ref_lstm_backward(p, grads, xs, dh, steps):
+    gates = ref_gate_grads("lstm", grads)
+    zero = np.zeros_like(dh)  # c_0 and h_0
+    dc = np.zeros_like(dh)
+    for t in range(xs.shape[1] - 1, -1, -1):
+        i, f, o, g, tc, _, _ = steps[t]
+        c_prev, h_prev = steps[t - 1][5:] if t else (zero, zero)
+        x = xs[:, t]
+
+        dc = dc + dh * o * (1.0 - tc * tc)
+        da_i = dc * g * i * (1.0 - i)
+        da_f = dc * c_prev * f * (1.0 - f)
+        da_o = dh * tc * o * (1.0 - o)
+        da_g = dc * i * (1.0 - g * g)
+        for (dw, du, db), da in zip(gates, (da_i, da_f, da_o, da_g)):
+            dw += x @ da
+            du += da.T @ h_prev
+            db += da.sum(axis=0)
+
+        dh = da_i @ p["u_i"] + da_f @ p["u_f"] + da_o @ p["u_o"] + da_g @ p["u_g"]
+        dc = dc * f
+
+
+def ref_gru_backward(p, grads, xs, dh, steps):
+    gates = ref_gate_grads("gru", grads)
+    zero = np.zeros_like(dh)  # h_0
+    for t in range(xs.shape[1] - 1, -1, -1):
+        z, r, n, rh, _ = steps[t]
+        h_prev = steps[t - 1][-1] if t else zero
+        x = xs[:, t]
+
+        da_n = dh * (1.0 - z) * (1.0 - n * n)
+        drh = da_n @ p["u_n"]
+        da_z = dh * (h_prev - n) * z * (1.0 - z)
+        da_r = drh * h_prev * r * (1.0 - r)
+        for (dw, du, db), da, h_in in zip(gates, (da_z, da_r, da_n), (h_prev, h_prev, rh)):
+            dw += x @ da
+            du += da.T @ h_in
+            db += da.sum(axis=0)
+
+        dh = dh * z + drh * r + da_z @ p["u_z"] + da_r @ p["u_r"]
+
+
+REF_STEPS = {"lstm": ref_lstm_steps, "gru": ref_gru_steps}
+REF_BACKWARDS = {"lstm": ref_lstm_backward, "gru": ref_gru_backward}
+
+
+def ref_backward_batch(state, xs, ys):
+    B, F, p = xs.shape[0], state.horizon, state.params
+    steps = list(REF_STEPS[state.kind](p, xs))
+    h_last = steps[-1][-1]
+    with np.errstate(over="ignore"):
+        err = (h_last @ p["w_out"].T + p["b_out"]) - ys
+        loss = float((err * err).sum() / (F * B))
+    grads = {name: np.zeros_like(a) for name, a in p.items()}
+    dpred = (2.0 / (F * B)) * err
+    grads["w_out"] = dpred.T @ h_last
+    grads["b_out"] = dpred.sum(axis=0)
+    REF_BACKWARDS[state.kind](p, grads, xs, dpred @ p["w_out"], steps)
+    return loss, grads
+
+
+def ref_forecast(state, xs):
+    h = list(REF_STEPS[state.kind](state.params, xs))[-1][-1]
+    return h @ state.params["w_out"].T + state.params["b_out"]
+
+
+class TestStackedGatesMatchPerGateBits:
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("units,batch", [(1, 1), (3, 1), (5, 7), (16, 32), (32, 16),
+                                             (33, 17), (128, 32)])
+    def test_loss_gradients_and_forecast_are_byte_equal(self, kind, units, batch):
+        state = init_model(kind, units, 60, 20, Rng(units * 100 + batch))
+        rng = np.random.default_rng(units + batch)
+        xs = rng.uniform(-1.0, 1.0, size=(batch, 60))
+        ys = rng.uniform(-1.0, 1.0, size=(batch, 20))
+        loss, grads = backward_batch(state, xs, ys)
+        ref_loss, ref_grads = ref_backward_batch(state, xs, ys)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert list(grads) == list(ref_grads)
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == ref.shape, name
+            assert grads[name].tobytes() == ref.tobytes(), name
+        assert state.forecast(xs).tobytes() == ref_forecast(state, xs).tobytes()

@@ -247,6 +247,21 @@ class TestTrain:
                    "--out", str(tmp_path), "--quiet"])
         assert rc == 3
 
+    def test_dead_worker_exits_4_with_one_line(self, tmp_path, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def dies(*args):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(cli, "_worker_count", lambda pairs: 2)
+        monkeypatch.setattr(cli, "_train_in_workers", dies)
+        out = tmp_path / "out"
+        rc = main(["run", *DESK_FLAGS, "--out", str(out), "--quiet"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: a training worker died (") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
 
 class TestEvaluate:
     def test_reports_written_per_pair(self, run_dir):

@@ -103,6 +103,16 @@ class TestMakeWindows:
         npt.assert_array_equal(test.inputs, [[3, 4, 5], [4, 5, 6], [5, 6, 7]])
         npt.assert_array_equal(test.targets, [[6, 7], [7, 8], [8, 9]])
 
+    @pytest.mark.parametrize("region", ["train", "test"])
+    def test_windows_are_read_only_views_of_the_series(self, region):
+        s = Series("s", np.arange(100, dtype=float))
+        ds = make_windows(s, PartitionSpec(window=10, horizon=3, test_len=20), region)
+        for arr in (ds.inputs, ds.targets):
+            assert np.shares_memory(arr, s.values)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
     @pytest.mark.parametrize("q,w,f,test_len", [
         (30, 5, 1, 10), (30, 5, 3, 10), (48, 7, 2, 12), (100, 60, 1, 30),
         (20, 1, 1, 5), (15, 2, 4, 8), (3032, 60, 20, 251),

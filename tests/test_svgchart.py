@@ -1,10 +1,12 @@
 """SVG chart structure tests (the chart is data, so we parse it back)."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
+from rnncast import svgchart
 from rnncast.svgchart import line_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -54,6 +56,11 @@ class TestStructure:
         assert texts.count("forecast") == 1
         # Unlabeled fans add no legend rows: exactly the two labels appear.
         assert "actual" in texts
+
+    @pytest.mark.parametrize("text", ["plain", "a & b", "<tag>", "&amp; &lt;", "x > 1 < 2 & 3",
+                                      "\"quoted\" 'single'", ""])
+    def test_escape_matches_saxutils(self, text):
+        assert svgchart._escape(text) == escape(text)
 
     def test_deterministic(self):
         curves = [("s", list(range(20)), [v ** 2 for v in range(20)])]
