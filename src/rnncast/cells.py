@@ -66,7 +66,7 @@ def _check_sizes(units: int, window: int, horizon: int) -> None:
 @dataclass
 class ModelState:
     """One recurrent cell plus head; `params` maps each name of
-    `tensor_shapes` to its array, in that order."""
+    `tensor_shapes` to its array, in that order whatever order it was given."""
 
     kind: str
     params: dict[str, np.ndarray]
@@ -77,6 +77,7 @@ class ModelState:
         if self.params.keys() != names:
             raise ShapeError(
                 f"{self.kind} model needs tensors {sorted(names)}, got {sorted(self.params)}")
+        self.params = {name: self.params[name] for name in names}
         if self.params["w_out"].ndim != 2:
             raise ShapeError(f"tensor 'w_out' has shape {self.params['w_out'].shape}, "
                              f"expected (horizon, units)")

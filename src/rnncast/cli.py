@@ -538,6 +538,7 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
     t_total = time.perf_counter()
     with _run_stage("generate", timings):
         series, sources = _load(config)
+        (out / "manifest.json").unlink(missing_ok=True)  # a manifest marks a finished run
         artifacts.update(stage_generate(config, series, quiet))
     with _run_stage("train", timings):
         artifacts.update(stage_train(config, sources, quiet))

@@ -175,8 +175,9 @@ def gen_activities(rng: Rng, n_series: int = 10, length: int = 3584,
     if length < week:
         raise ValueError(
             f"length ({length}) must cover at least one week ({week} samples)")
-    if noise_sd < 0 or amplitude_jitter < 0:
-        raise ValueError("noise_sd and amplitude_jitter must be nonnegative")
+    if not (0 <= noise_sd < np.inf and 0 <= amplitude_jitter < np.inf):
+        raise ValueError(f"noise_sd and amplitude_jitter must be finite and nonnegative, "
+                         f"got {noise_sd}, {amplitude_jitter}")
 
     day_levels = np.array([high_level] * 5 + [low_level] * 2)
     n_days = -(-length // samples_per_day)  # ceil
@@ -201,8 +202,8 @@ def gen_random_walk(rng: Rng, n_series: int = 10, length: int = 3032,
     """Geometric random walk: x[t+1] = x[t] * exp(e), e ~ Normal(0, step_sd^2)."""
     if length < 2 or n_series < 1:
         raise ValueError(f"need length >= 2 and n_series >= 1, got {length}, {n_series}")
-    if start <= 0 or step_sd < 0:
-        raise ValueError(f"need start > 0 and step_sd >= 0, got {start}, {step_sd}")
+    if start <= 0 or not 0 <= step_sd < np.inf:
+        raise ValueError(f"need start > 0 and finite step_sd >= 0, got {start}, {step_sd}")
     out = []
     for s in range(n_series):
         if step_sd > 0:

@@ -13,14 +13,15 @@ fully determined by (kind, dataset, config). The per-epoch loss recorded
 in the history is the sample-weighted mean of batch losses, i.e. the mean
 training loss over the epoch.
 
-Checkpoints are a small binary format (magic "TSFC", version u16, then
-metadata and row-major float64 little-endian tensors) chosen so that a
-save/load round trip is bit-identical.
+Checkpoints are a small binary format (one fixed header record `_HEADER`:
+magic "TSFC", version u16 and the metadata; then the config and row-major
+float64 little-endian tensors) chosen so that a save/load round trip is
+bit-identical. The loader reads the file in one bounded read and checks
+every length against that buffer before it slices it.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cells import ModelState, backward_batch, init_model, tensor_shapes
+from .cells import ModelState, backward_batch, init_model
 from .dataprep import WindowedDataset
 from .numkit import NumericError, Rng, ShapeError
 
@@ -63,10 +64,9 @@ class AdamState:
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError(
                 f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        for name, value in (("learning_rate", self.learning_rate), ("eps", self.eps)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def adam_step(adam: AdamState, params: dict, grads: dict) -> dict:
@@ -106,8 +106,8 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
     Returns the pre-clip norm.
     """
-    if max_norm <= 0:
-        raise ValueError(f"gradient clip norm must be positive, got {max_norm}")
+    if not 0 < max_norm < math.inf:
+        raise ValueError(f"gradient clip norm must be finite and positive, got {max_norm}")
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
@@ -199,7 +199,9 @@ def train(kind: str, dataset: WindowedDataset, config: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint file format (version 1, all integers little-endian):
+# Checkpoint file format (version 1, all integers little-endian). The fixed
+# 40-byte header is the one record _HEADER, packed by save_checkpoint and
+# unpacked by load_checkpoint:
 #   magic     4 bytes  "TSFC"
 #   version   u16
 #   kind      u8       0 = lstm, 1 = gru
@@ -208,101 +210,81 @@ def train(kind: str, dataset: WindowedDataset, config: TrainConfig,
 #   horizon   u32
 #   bounds    u8       0 = absent, 1 = present
 #             f64 f64  raw_min, raw_max (zeros when absent)
-#   config    u32 + n bytes of UTF-8 JSON
+#   config    u32 n, the header's last field; then n bytes of UTF-8 JSON
 #   tensors   u32 count, then per tensor:
 #             u16 + n bytes  name
 #             u8             ndim
 #             u32 * ndim     dims
 #             f64 * prod     row-major data
-# No trailing bytes are allowed, and no tensor may declare more data than
-# the file has left.
+# No trailing bytes are allowed, and no field may run past the file's end.
 # ---------------------------------------------------------------------------
+
+_HEADER = struct.Struct("<4sHBIIIBddI")
+
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     model = checkpoint.model
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<HB", CHECKPOINT_VERSION, _KIND_CODES[model.kind]))
-    buf.write(struct.pack("<III", model.units, model.window, model.horizon))
     has_bounds = checkpoint.raw_min is not None and checkpoint.raw_max is not None
-    buf.write(struct.pack("<Bdd", int(has_bounds),
-                          checkpoint.raw_min if has_bounds else 0.0,
-                          checkpoint.raw_max if has_bounds else 0.0))
     blob = json.dumps(checkpoint.config, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
     tensors = model.tensors()
-    buf.write(struct.pack("<I", len(tensors)))
+    parts = [_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _KIND_CODES[model.kind],
+                          model.units, model.window, model.horizon, has_bounds,
+                          checkpoint.raw_min if has_bounds else 0.0,
+                          checkpoint.raw_max if has_bounds else 0.0, len(blob)),
+             blob, struct.pack("<I", len(tensors))]
     for name, tensor in tensors.items():
         encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", tensor.ndim))
-        buf.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        buf.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        parts.append(struct.pack(f"<H{len(encoded)}sB{tensor.ndim}I", len(encoded),
+                                 encoded, tensor.ndim, *tensor.shape))
+        parts.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointCorruptError(
-            f"checkpoint truncated while reading {what} "
-            f"(wanted {n} bytes, got {len(data)})")
-    return data
+        fh.write(b"".join(parts))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointCorruptError(
-                f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"checkpoint version {version} unsupported "
-                f"(this build reads version {CHECKPOINT_VERSION})")
-        (kind_code,) = struct.unpack("<B", _read_exact(fh, 1, "kind"))
-        if kind_code not in _KIND_NAMES:
-            raise CheckpointCorruptError(f"unknown model kind code {kind_code}")
-        kind = _KIND_NAMES[kind_code]
-        units, window, horizon = struct.unpack("<III", _read_exact(fh, 12, "dimensions"))
-        has_bounds, raw_min, raw_max = struct.unpack("<Bdd", _read_exact(fh, 17, "bounds"))
-        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        try:
-            config = json.loads(_read_exact(fh, blob_len, "config").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointCorruptError(f"config block unreadable: {exc}") from exc
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-            try:
-                name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CheckpointCorruptError(f"tensor name unreadable: {exc}") from exc
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"{name} ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} dims"))
-            nbytes = 8 * math.prod(shape)
-            if nbytes > file_size - fh.tell():
-                raise CheckpointCorruptError(
-                    f"tensor {name!r} declares shape {shape} ({nbytes} bytes), "
-                    f"more than the {file_size - fh.tell()} bytes left in the file")
-            data = _read_exact(fh, nbytes, f"{name} data")
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise CheckpointCorruptError("trailing bytes after checkpoint payload")
+    with open(path, "rb") as fh:  # bounded, so a device file cannot read forever
+        data = fh.read(os.fstat(fh.fileno()).st_size)
+    at = 0
 
-    names = tensor_shapes(kind, units, horizon).keys()
-    if tensors.keys() != names:
-        raise CheckpointCorruptError(
-            f"{kind} checkpoint has unexpected tensors {sorted(tensors.keys() - names)} "
-            f"and lacks {sorted(names - tensors.keys())}")
+    def take(n: int, what: str) -> bytes:
+        nonlocal at
+        if n > len(data) - at:
+            raise CheckpointCorruptError(f"checkpoint truncated while reading {what} "
+                                         f"(wanted {n} bytes, got {len(data) - at})")
+        at += n
+        return data[at - n:at]
+
+    (magic, version, kind_code, units, window, horizon, has_bounds, raw_min, raw_max,
+     blob_len) = _HEADER.unpack(take(_HEADER.size, "header"))
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointCorruptError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(
+            f"checkpoint version {version} unsupported "
+            f"(this build reads version {CHECKPOINT_VERSION})")
+    if kind_code not in _KIND_NAMES:
+        raise CheckpointCorruptError(f"unknown model kind code {kind_code}")
     try:
-        model = ModelState(kind, {name: tensors[name] for name in names}, window)
+        config = json.loads(take(blob_len, "config").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointCorruptError(f"config block unreadable: {exc}") from exc
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    tensors = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
+        try:
+            name = take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointCorruptError(f"tensor name unreadable: {exc}") from exc
+        ndim = take(1, f"{name} ndim")[0]
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name} dims"))
+        data_bytes = take(8 * math.prod(shape), f"{name} data")
+        tensors[name] = np.frombuffer(data_bytes, dtype="<f8").reshape(shape).copy()
+    if at != len(data):
+        raise CheckpointCorruptError("trailing bytes after checkpoint payload")
+
+    try:  # ModelState checks the tensor set and puts it in tensor_shapes order
+        model = ModelState(_KIND_NAMES[kind_code], tensors, window)
         if (model.units, model.horizon) != (units, horizon):
             raise ShapeError(f"tensors have units={model.units}, horizon={model.horizon}, "
                              f"header has units={units}, horizon={horizon}")

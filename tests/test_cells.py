@@ -359,6 +359,21 @@ class TestShapeAndErrors:
         with pytest.raises(ShapeError, match="5"):
             state.forecast(np.zeros((2, 6)))
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_params_in_tensor_shapes_order_whatever_order_given(self, kind):
+        state = make_state(kind)
+        shuffled = dict(reversed(state.params.items()))
+        rebuilt = cells.ModelState(kind, shuffled, state.window)
+        assert list(rebuilt.params) == list(tensor_shapes(kind, 4, 2))
+        assert all(rebuilt.params[k] is v for k, v in state.params.items())
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_missing_tensor_rejected(self, kind):
+        params = dict(make_state(kind).params)
+        del params["b_out"]
+        with pytest.raises(ShapeError, match="needs tensors"):
+            cells.ModelState(kind, params, 5)
+
     def test_forward_rejects_non_finite_window(self):
         state = make_state("lstm")
         with pytest.raises(NumericError):

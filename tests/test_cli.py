@@ -90,6 +90,10 @@ class TestConfig:
         {"epochs": 0}, {"batch_size": 0}, {"units": 0}, {"learning_rate": -1},
         {"grad_clip": 0}, {"beta1": 1.0}, {"eps": 0.0}, {"test_len": 0},
         {"test_len": 19},
+        # Non-finite values, which json.load accepts as NaN and Infinity.
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"eps": float("nan")}, {"eps": float("inf")}, {"beta1": float("nan")},
+        {"grad_clip": float("nan")}, {"grad_clip": float("inf")},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -174,6 +178,19 @@ class TestGenerate:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["activities", "--noise-sd", "nan"], ["activities", "--jitter", "nan"],
+        ["random-walk", "--step-sd", "nan"],
+    ], ids=["noise-sd", "jitter", "step-sd"])
+    def test_nan_generator_parameter_exits_2_before_any_write(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        rc = main(["generate", *argv, "--length", "64", "--series", "1",
+                   "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unwritable_path_exits_2(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("not a directory")
@@ -225,6 +242,8 @@ class TestTrain:
     @pytest.mark.parametrize("argv", [
         ["--epochs", "0"], ["--units", "0"], ["--batch-size", "0"],
         ["--test-len", "0"], ["--learning-rate", "-1"], ["--grad-clip", "0"],
+        ["--learning-rate", "nan"], ["--learning-rate", "inf"],
+        ["--grad-clip", "nan"], ["--grad-clip", "inf"],
     ])
     def test_bad_training_value_exits_2_before_any_write(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -491,6 +510,31 @@ class TestRun:
             assert sorted(training["train_seconds"]) == [
                 "gru_f1", "gru_f3", "lstm_f1", "lstm_f3"]
             assert all(s > 0 for s in training["train_seconds"].values())
+
+    RERUN_FLAGS = ["--dataset", "activities", "--length", "320", "--series", "2",
+                   "--window", "10", "--horizons", "1", "--test-len", "50",
+                   "--epochs", "1", "--units", "2", "--models", "lstm", "--quiet"]
+
+    @pytest.fixture
+    def finished_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", *self.RERUN_FLAGS, "--seed", "1", "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        return out
+
+    def test_failed_rerun_leaves_no_manifest(self, finished_run):
+        rc = main(["run", *self.RERUN_FLAGS, "--seed", "2", "--learning-rate", "1e200",
+                   "--out", str(finished_run)])
+        assert rc == 3
+        assert (finished_run / "dataset.csv").exists()
+        assert not (finished_run / "manifest.json").exists()
+
+    def test_rerun_refused_at_generate_leaves_the_finished_run(self, finished_run):
+        before = {p.name: p.read_bytes() for p in finished_run.iterdir()}
+        rc = main(["run", *self.RERUN_FLAGS, "--seed", "2", "--train-series-index", "5",
+                   "--out", str(finished_run)])
+        assert rc == 2
+        assert {p.name: p.read_bytes() for p in finished_run.iterdir()} == before
 
     def test_evaluate_after_train_reuses_checkpoints(self, run_dir, tmp_path):
         # Re-running evaluate alone against the same out dir must succeed

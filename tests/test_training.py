@@ -1,5 +1,7 @@
 """Optimizer, training-loop, and checkpoint round-trip tests."""
 
+import hashlib
+import os
 import struct
 
 import numpy as np
@@ -83,6 +85,8 @@ class TestAdam:
     @pytest.mark.parametrize("kwargs", [
         {"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1},
         {"learning_rate": 0.0}, {"learning_rate": -1.0}, {"eps": 0.0},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"eps": float("nan")}, {"eps": float("inf")},
     ])
     def test_invalid_hyperparameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -102,9 +106,10 @@ class TestClip:
         npt.assert_allclose(grads["a"], [1.5, 2.0])
         npt.assert_allclose(grads["b"], [6.0])
 
-    def test_nonpositive_threshold_rejected(self):
+    @pytest.mark.parametrize("max_norm", [0.0, float("nan"), float("inf")])
+    def test_nonpositive_threshold_rejected(self, max_norm):
         with pytest.raises(ValueError):
-            clip_gradients({"a": np.ones(2)}, 0.0)
+            clip_gradients({"a": np.ones(2)}, max_norm)
 
 
 def flat_dataset():
@@ -309,6 +314,34 @@ class TestCheckpointIO:
             except Exception as exc:
                 escaped.append(f"{label}: {type(exc).__name__}: {exc}")
         assert not escaped, "\n".join(escaped[:10])
+
+    @pytest.mark.parametrize("kind,units,window,horizon,seed,bounds,config,size,sha256", [
+        ("gru", 1, 4, 1, 3, (0.0, 1.0), {"seed": 3}, 273,
+         "17098a715203ac99cc5eed78a8f470fff6bfd54f55eaff45f65948bc6a8e7a74"),
+        ("lstm", 2, 3, 2, 5, (None, None), {}, 514,
+         "87c6c78c3af99efc1ad75c955c8ecd939ed834be3fa1e1da8d3b387b6afe4562"),
+    ], ids=["gru", "lstm"])
+    def test_format_v1_bytes_are_pinned(self, tmp_path, kind, units, window, horizon,
+                                        seed, bounds, config, size, sha256):
+        path = tmp_path / "pinned.tsfc"
+        cp = Checkpoint(init_model(kind, units, window, horizon, Rng(seed)), *bounds, config)
+        save_checkpoint(cp, path)
+        blob = path.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, sha256)
+        back = load_checkpoint(path)
+        assert (back.model.kind, back.model.window, back.raw_min, back.raw_max,
+                back.config) == (kind, window, *bounds, config)
+        assert list(back.model.params) == list(cp.model.params)
+        for name, tensor in cp.model.params.items():
+            npt.assert_array_equal(back.model.params[name], tensor, err_msg=name)
+
+    @pytest.mark.parametrize("device", ["/dev/null", "/dev/zero"])
+    def test_device_files_are_corrupt(self, device):
+        # The read is bounded by the file's size, so /dev/zero cannot hang.
+        if not os.path.exists(device):
+            pytest.skip(f"{device} does not exist here")
+        with pytest.raises(CheckpointCorruptError, match="truncated"):
+            load_checkpoint(device)
 
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
