@@ -18,10 +18,12 @@ chains the stages and writes a manifest listing every artifact it produced:
       manifest.json             artifacts, stage timings, per-pair training time
 
 Every command builds its dataset once: `generate_series` reads the CSV or
-runs the generator, and each series is normalized once for all stages.
-`run` scores and plots in one pass: each (model, horizon) checkpoint is
-loaded once, and each series' forecast set feeds both its score row and
-its plot files, so its manifest times evaluate and plot as one stage.
+runs the generator, and each series is normalized once for all stages. The
+stages: generate writes dataset.csv with the writer the `generate` command
+uses; train writes the checkpoints; and one forecast stage, `stage_evaluate`,
+loads each (model, horizon) checkpoint once and feeds each series' forecast
+set to its score row (`reports`) and its plot files (`plots`). `plot` is
+that stage with charts only; `run` writes both in one pass, timed as one.
 
 The train stage trains its (model, horizon) networks in parallel, on
 min(pairs, usable CPUs) spawned worker processes that each run BLAS on one
@@ -48,6 +50,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from inspect import signature
+from itertools import repeat
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -55,14 +58,13 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__, svgchart
-from .dataprep import (ParseError, PartitionSpec, Series, denormalize,
-                       gen_activities, gen_random_walk, load_csv, make_windows,
-                       normalize, save_csv)
+from .dataprep import (PartitionSpec, Series, denormalize, gen_activities,
+                       gen_random_walk, load_csv, make_windows, normalize, save_csv)
 from .evalkit import (ForecastSet, PersistenceBaseline, SeriesResult, aggregate,
                       evaluate, report_to_csv, report_to_text)
 from .numkit import NumericError, Rng
-from .training import (AdamState, Checkpoint, TrainConfig, load_checkpoint,
-                       save_checkpoint, train)
+from .training import (Checkpoint, TrainConfig, load_checkpoint, save_checkpoint,
+                       train)
 
 
 class ConfigError(ValueError):
@@ -188,9 +190,10 @@ class ExperimentConfig:
         if not self.horizons or len(set(self.horizons)) != len(self.horizons):
             raise ConfigError(
                 f"horizons must be a non-empty list of distinct ints, got {self.horizons}")
-        if not self.models or not set(self.models) <= set(MODEL_CHOICES):
-            raise ConfigError(f"models must be a non-empty subset of "
-                              f"{MODEL_CHOICES}, got {self.models}")
+        if (not self.models or not set(self.models) <= set(MODEL_CHOICES)
+                or len(set(self.models)) != len(self.models)):
+            raise ConfigError(f"models must be a non-empty list of distinct names "
+                              f"from {MODEL_CHOICES}, got {self.models}")
         if self.train_series_index < 0:
             raise ConfigError(
                 f"train_series_index must be >= 0, got {self.train_series_index}")
@@ -199,7 +202,6 @@ class ExperimentConfig:
         # The training and windowing settings are checked by their owners.
         try:
             self.train_config()
-            AdamState(self.learning_rate, self.beta1, self.beta2, self.eps)
             for horizon in self.horizons:
                 PartitionSpec(self.window, horizon, self.test_len)
         except ValueError as exc:
@@ -256,13 +258,17 @@ def _say(quiet: bool, message: str) -> None:
 # its per-pair timings.
 # ---------------------------------------------------------------------------
 
-def stage_generate(config: ExperimentConfig, series: list[Series], quiet: bool) -> dict:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "dataset.csv"
+def _write_series(path: Path, series: list[Series], quiet: bool) -> str:
+    """Write `series` as a wide CSV at `path`, making its directory; returns
+    the file's name. The `generate` command and the generate stage share it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     save_csv(path, series)
     _say(quiet, f"wrote {len(series)} series x {len(series[0])} samples to {path}")
-    return {"dataset_csv": "dataset.csv"}
+    return path.name
+
+
+def stage_generate(config: ExperimentConfig, series: list[Series], quiet: bool) -> dict:
+    return {"dataset_csv": _write_series(Path(config.out_dir) / "dataset.csv", series, quiet)}
 
 
 def _worker_count(pairs: int) -> int:
@@ -296,15 +302,15 @@ def _single_blas_thread_env():
                 os.environ[name] = value
 
 
-def _train_pair(model: str, horizon: int, source: Series,
-                config: ExperimentConfig,
+def _train_pair(pair: tuple[str, int], source: Series, config: ExperimentConfig,
                 quiet: bool) -> tuple[Checkpoint, list[float], float]:
-    """Train the `model` network for `horizon` on the normalized `source`;
-    returns (checkpoint, per-epoch losses, training seconds).
+    """Train the `pair` = (model, horizon) network on the normalized
+    `source`; returns (checkpoint, per-epoch losses, training seconds).
 
     Module-level so that a spawned worker can run it: it prints its own
     progress lines unless `quiet`.
     """
+    model, horizon = pair
     name = _pair_name(model, horizon)
     spec = PartitionSpec(config.window, horizon, config.test_len)
     dataset = make_windows(source, spec, "train")
@@ -327,19 +333,15 @@ def _train_in_workers(pairs: list, source: Series, config: ExperimentConfig,
                       quiet: bool, workers: int) -> list:
     """_train_pair's result for every pair, in order, from `workers` spawned
     processes. Spawn, not fork: a forked child would inherit the parent's
-    BLAS thread pool and oversubscribe the CPUs."""
+    BLAS thread pool and oversubscribe the CPUs. After a failed pair, `map`
+    starts no other, and leaving the pool waits for the running ones."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    with _single_blas_thread_env():
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
-        try:
-            futures = [pool.submit(_train_pair, model, horizon, source, config, quiet)
-                       for model, horizon in pairs]
-            return [future.result() for future in futures]
-        finally:
-            # After a failed pair, start no other; running ones still finish.
-            pool.shutdown(cancel_futures=True)
+    with _single_blas_thread_env(), ProcessPoolExecutor(
+            workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(_train_pair, pairs, repeat(source), repeat(config),
+                             repeat(quiet)))
 
 
 def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool) -> dict:
@@ -353,23 +355,16 @@ def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool) ->
     if workers > 1:
         results = _train_in_workers(pairs, source, config, quiet, workers)
     else:
-        results = [_train_pair(model, horizon, source, config, quiet)
-                   for model, horizon in pairs]
+        results = list(map(_train_pair, pairs, repeat(source), repeat(config),
+                           repeat(quiet)))
 
-    checkpoints = {}
-    losses = {}
-    seconds = {}
+    checkpoints, losses, seconds = {}, {}, {}
     for (model, horizon), (checkpoint, history, train_s) in zip(pairs, results):
         name = _pair_name(model, horizon)
-        cp_path = out / f"{name}.tsfc"
-        save_checkpoint(checkpoint, cp_path)
-        loss_path = out / f"loss_{name}.csv"
-        with open(loss_path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss\n")
-            for e, loss in enumerate(history, start=1):
-                fh.write(f"{e},{loss!r}\n")
-        checkpoints[name] = cp_path.name
-        losses[name] = loss_path.name
+        checkpoints[name], losses[name] = f"{name}.tsfc", f"loss_{name}.csv"
+        save_checkpoint(checkpoint, out / checkpoints[name])
+        (out / losses[name]).write_text("epoch,loss\n" + "".join(
+            f"{e},{loss!r}\n" for e, loss in enumerate(history, start=1)), encoding="utf-8")
         seconds[name] = round(train_s, 3)
     return {"checkpoints": checkpoints, "loss_histories": losses,
             "training": {"workers": workers, "train_seconds": seconds}}
@@ -396,23 +391,23 @@ def _forecaster_for(config: ExperimentConfig, model: str, horizon: int):
     return checkpoint.model
 
 
-def _forecast_pass(config: ExperimentConfig, series: list[Series],
-                   sources: list[Series], quiet: bool, write_reports: bool,
-                   write_plots: bool) -> dict:
-    """Forecast every series with every (model, horizon) forecaster: each
-    forecaster is loaded once and each series forecast once. The forecast
-    set gives the series' score row and, with `write_plots`, its chart; it
-    is then dropped, so one set is held at a time.
+def stage_evaluate(config: ExperimentConfig, series: list[Series],
+                   sources: list[Series], quiet: bool, reports: bool = True,
+                   plots: bool = False) -> dict:
+    """The one forecast stage: each (model, horizon) forecaster is loaded
+    once and forecasts each series once. The forecast set gives the series'
+    score row, with `reports`, and its chart, with `plots`; it is then
+    dropped, so one set is held at a time.
 
     Scores are in the configured report units; a pass that writes no
     reports forecasts in normalized units.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    raw_units = write_reports and config.report_units == "raw"
-    reports = {}
-    tables = []  # one EvalReport per pair, for summary.csv
-    plots = []
+    raw_units = reports and config.report_units == "raw"
+    report_files = {}
+    summary = ["model,horizon,series,rmse,da\n"]  # every pair's rows in one table
+    plot_files = []
     for model in config.models:
         for horizon in config.horizons:
             forecaster = _forecaster_for(config, model, horizon)
@@ -422,33 +417,29 @@ def _forecast_pass(config: ExperimentConfig, series: list[Series],
                 forecasts, r, d = evaluate(forecaster, source, spec,
                                            normalized=not raw_units)
                 rows.append(SeriesResult(raw.name, r, d))
-                if write_plots:
-                    plots += _plot_one(config, raw, source, forecasts, raw_units,
-                                       model, horizon, out)
-            if write_reports:
+                if plots:
+                    plot_files += _plot_one(config, raw, source, forecasts, raw_units,
+                                            model, horizon, out)
+            if reports:
                 report = aggregate(rows, model=model, horizon=horizon)
-                tables.append(report)
                 name = _pair_name(model, horizon)
-                reports[name] = [f"report_{name}.csv", f"report_{name}.txt"]
-                (out / reports[name][0]).write_text(report_to_csv(report), encoding="utf-8")
-                (out / reports[name][1]).write_text(report_to_text(report), encoding="utf-8")
+                table = report_to_csv(report)
+                report_files[name] = [f"report_{name}.csv", f"report_{name}.txt"]
+                for file, text in zip(report_files[name], (table, report_to_text(report))):
+                    (out / file).write_text(text, encoding="utf-8")
+                summary += [f"{model},{horizon},{line}\n" for line in table.splitlines()[1:]]
                 _say(quiet, f"{name}: mean RMSE {report.mean_rmse:.6f} "
                             f"(sd {report.sd_rmse:.6f}), mean DA {report.mean_da:.4f} "
                             f"(sd {report.sd_da:.4f})")
 
     artifacts = {}
-    if write_reports:
-        summary_path = out / "summary.csv"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write("model,horizon,series,rmse,da\n")
-            for t in tables:
-                for line in report_to_csv(t).splitlines()[1:]:
-                    fh.write(f"{t.model},{t.horizon},{line}\n")
-        reports["summary"] = [summary_path.name]
-        artifacts["reports"] = reports
-    if write_plots:
-        _say(quiet, f"wrote {len(plots)} plot files to {out}")
-        artifacts["plots"] = plots
+    if reports:
+        (out / "summary.csv").write_text("".join(summary), encoding="utf-8")
+        report_files["summary"] = ["summary.csv"]
+        artifacts["reports"] = report_files
+    if plots:
+        _say(quiet, f"wrote {len(plot_files)} plot files to {out}")
+        artifacts["plots"] = plot_files
     return artifacts
 
 
@@ -501,19 +492,10 @@ def _plot_one(config: ExperimentConfig, series: Series, source: Series,
     return [f"{base}.svg", f"{base}.csv"]
 
 
-def stage_evaluate(config: ExperimentConfig, series: list[Series],
-                   sources: list[Series], quiet: bool, plot: bool = False) -> dict:
-    """Score every (model, horizon) pair on every series and write the
-    reports; with `plot`, chart each forecast too, from the same pass."""
-    return _forecast_pass(config, series, sources, quiet, write_reports=True,
-                          write_plots=plot)
-
-
 def stage_plot(config: ExperimentConfig, series: list[Series],
                sources: list[Series], quiet: bool) -> dict:
     """Chart every (model, horizon) pair's forecast of every series."""
-    return _forecast_pass(config, series, sources, quiet, write_reports=False,
-                          write_plots=True)
+    return stage_evaluate(config, series, sources, quiet, reports=False, plots=True)
 
 
 @contextmanager
@@ -543,7 +525,7 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
     with _run_stage("train", timings):
         artifacts.update(stage_train(config, sources, quiet))
     with _run_stage("evaluate", timings):  # plots too
-        artifacts.update(stage_evaluate(config, series, sources, quiet, plot=True))
+        artifacts.update(stage_evaluate(config, series, sources, quiet, plots=True))
     timings["total"] = round(time.perf_counter() - t_total, 3)
 
     manifest = {"version": __version__, "seed": config.seed,
@@ -626,9 +608,8 @@ def _config_from_args(args) -> ExperimentConfig:
     data = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep to parse
             raise ConfigError(f"{args.config}: not valid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
@@ -671,12 +652,7 @@ def _run_generate(args) -> int:
     config = ExperimentConfig(
         dataset={"kind": args.kind, **_generator_params(args, args.kind)},
         seed=args.seed)
-    series = generate_series(config)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    save_csv(out, series)
-    _say(args.quiet, f"wrote {len(series)} series x {len(series[0])} samples to {out}")
+    _write_series(Path(args.out), generate_series(config), args.quiet)
     return 0
 
 
@@ -705,7 +681,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -129,10 +129,10 @@ class TrainConfig:
     seed: int = 0
     units: int = 128
     shuffle: bool = True
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    learning_rate: float = AdamState.learning_rate
+    beta1: float = AdamState.beta1
+    beta2: float = AdamState.beta2
+    eps: float = AdamState.eps
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -142,6 +142,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.units < 1:
             raise ValueError(f"units must be >= 1, got {self.units}")
+        AdamState(self.learning_rate, self.beta1, self.beta2, self.eps)  # checks them
         if self.grad_clip is not None:
             clip_gradients({}, self.grad_clip)  # checks the bound, clips nothing
 
@@ -169,8 +170,7 @@ def train(kind: str, dataset: WindowedDataset, config: TrainConfig,
         raise ValueError("cannot train on an empty dataset")
     rng = Rng(config.seed)
     model = init_model(kind, config.units, dataset.window, dataset.horizon, rng)
-    adam = AdamState(learning_rate=config.learning_rate, beta1=config.beta1,
-                     beta2=config.beta2, eps=config.eps)
+    adam = AdamState(config.learning_rate, config.beta1, config.beta2, config.eps)
 
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -266,7 +266,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointCorruptError(f"unknown model kind code {kind_code}")
     try:
         config = json.loads(take(blob_len, "config").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointCorruptError(f"config block unreadable: {exc}") from exc
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     tensors = {}

@@ -94,6 +94,8 @@ class TestConfig:
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
         {"eps": float("nan")}, {"eps": float("inf")}, {"beta1": float("nan")},
         {"grad_clip": float("nan")}, {"grad_clip": float("inf")},
+        # A repeated model, which would train and score one pair twice.
+        {"models": ["lstm", "lstm"]},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -558,6 +560,14 @@ class TestMainEntry:
         assert main(["train", "--config", str(bad), "--quiet"]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_config_exits_2_with_one_line(self, tmp_path, capsys):
+        # json.load raises RecursionError, not a ValueError, on deep nesting.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["train", "--config", str(deep), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}: not valid JSON (") and err.count("\n") == 1
+
     def test_non_utf8_csv_exits_2_with_one_line_error(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"
         data.write_bytes("caf\u00e9,b\n1.0,2.0\n3.0,4.0\n".encode("latin-1"))
@@ -601,3 +611,59 @@ class TestMainEntry:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+def _every_truncation_and_flip(blob: bytes) -> dict:
+    """Each prefix of `blob`, and `blob` with one byte XORed by 0xFF, 0x80 or
+    0x01, by label."""
+    variants = {f"cut {n}": blob[:n] for n in range(len(blob))}
+    for pos in range(len(blob)):
+        for mask in (0xFF, 0x80, 0x01):
+            flipped = bytearray(blob)
+            flipped[pos] ^= mask
+            variants[f"byte {pos} ^ {mask:#04x}"] = bytes(flipped)
+    return variants
+
+
+class TestInputSweeps:
+    """Every truncation and single-byte flip of a small CSV and of a config
+    file: `main` returns 0 or exits 2 with a one-line error, never raises.
+    Every path is a flag outside the swept bytes, and the work directory is
+    the test's own, so no variant can write anywhere else."""
+
+    CSV = "a,b\n" + "".join(f"{i % 7}.{i % 3},{(i * 3) % 10}\n" for i in range(40))
+    CONFIG = json.dumps({"window": 4, "horizons": [1, 2], "test_len": 10,
+                         "models": ["baseline"], "report_units": "raw", "epochs": 2,
+                         "units": 3, "beta1": 0.5, "grad_clip": 1.5, "plot_points": 7})
+
+    def sweep(self, capsys, target, blob: bytes, argv: list) -> None:
+        escaped = []
+        for label, data in _every_truncation_and_flip(blob).items():
+            target.write_bytes(data)
+            try:
+                rc = main(argv)
+            except Exception as exc:  # RecursionError too
+                escaped.append(f"{label}: {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            if rc not in (0, 2) or (rc == 2 and not (err.startswith("error: ")
+                                                     and err.count("\n") == 1)):
+                escaped.append(f"{label}: exit {rc}, stderr {err!r}")
+        assert not escaped, "\n".join(escaped[:10])
+
+    def test_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        blob = self.CSV.encode()
+        assert len(blob) == 244
+        self.sweep(capsys, tmp_path / "in.csv", blob,
+                   ["evaluate", "--data", "in.csv", "--window", "4", "--horizons", "1,2",
+                    "--test-len", "10", "--models", "baseline", "--out", "o", "--quiet"])
+
+    def test_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.csv").write_text(self.CSV)
+        blob = self.CONFIG.encode()
+        assert len(blob) == 171
+        self.sweep(capsys, tmp_path / "in.json", blob,
+                   ["evaluate", "--config", "in.json", "--data", "good.csv", "--out", "o",
+                    "--quiet"])

@@ -17,6 +17,14 @@ from rnncast.training import (AdamState, Checkpoint, CheckpointCorruptError,
                               clip_gradients, load_checkpoint, save_checkpoint,
                               train)
 
+# Adam settings that AdamState refuses, and so TrainConfig too.
+BAD_ADAM_SETTINGS = [
+    {"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1},
+    {"learning_rate": 0.0}, {"learning_rate": -1.0}, {"eps": 0.0},
+    {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+    {"eps": float("nan")}, {"eps": float("inf")},
+]
+
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
@@ -82,12 +90,7 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(adam, {"x": np.zeros(2)}, {"x": np.array([1.0, np.inf])})
 
-    @pytest.mark.parametrize("kwargs", [
-        {"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1},
-        {"learning_rate": 0.0}, {"learning_rate": -1.0}, {"eps": 0.0},
-        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
-        {"eps": float("nan")}, {"eps": float("inf")},
-    ])
+    @pytest.mark.parametrize("kwargs", BAD_ADAM_SETTINGS)
     def test_invalid_hyperparameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AdamState(**kwargs)
@@ -159,6 +162,12 @@ class TestTrain:
     def test_epochs_zero_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("kwargs", BAD_ADAM_SETTINGS)
+    def test_invalid_adam_settings_rejected_at_construction(self, kwargs):
+        # Refused by the config itself, before train draws any weights.
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
 
     def test_empty_dataset_rejected(self):
         empty = WindowedDataset(inputs=np.zeros((0, 8)), targets=np.zeros((0, 2)),
@@ -334,6 +343,17 @@ class TestCheckpointIO:
         assert list(back.model.params) == list(cp.model.params)
         for name, tensor in cp.model.params.items():
             npt.assert_array_equal(back.model.params[name], tensor, err_msg=name)
+
+    def test_deeply_nested_config_block_is_corrupt(self, tmp_path):
+        # json.loads raises RecursionError, not a ValueError, on deep nesting.
+        _, path = self.trained(tmp_path)
+        blob = path.read_bytes()
+        (old_len,) = struct.unpack_from("<I", blob, 36)  # the header's last field
+        deep = b"[" * 100_000
+        path.write_bytes(blob[:36] + struct.pack("<I", len(deep)) + deep
+                         + blob[40 + old_len:])
+        with pytest.raises(CheckpointCorruptError, match="config block unreadable"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("device", ["/dev/null", "/dev/zero"])
     def test_device_files_are_corrupt(self, device):
