@@ -21,9 +21,9 @@ Every command builds its dataset once: `generate_series` reads the CSV or
 runs the generator, and each series is normalized once for all stages. The
 stages: generate writes dataset.csv with the writer the `generate` command
 uses; train writes the checkpoints; and one forecast stage, `stage_evaluate`,
-loads each (model, horizon) checkpoint once and feeds each series' forecast
-set to its score row (`reports`) and its plot files (`plots`). `plot` is
-that stage with charts only; `run` writes both in one pass, timed as one.
+loads each (model, horizon) checkpoint once, feeds each series' forecast set
+to its score row (`reports`) and plot files (`plots`), and writes all of them
+after the last score: `plot` charts only, and `run` does both, timed as one.
 
 The train stage trains its (model, horizon) networks in parallel, on
 min(pairs, usable CPUs) spawned worker processes that each run BLAS on one
@@ -397,17 +397,16 @@ def stage_evaluate(config: ExperimentConfig, series: list[Series],
     """The one forecast stage: each (model, horizon) forecaster is loaded
     once and forecasts each series once. The forecast set gives the series'
     score row, with `reports`, and its chart, with `plots`; it is then
-    dropped, so one set is held at a time.
+    dropped, so one set is held at a time. Files are written in one loop
+    after the last score, so a refused stage leaves the directory as it was.
 
     Scores are in the configured report units; a pass that writes no
     reports forecasts in normalized units.
     """
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     raw_units = reports and config.report_units == "raw"
+    files = {}  # file name -> text, in creation order
     report_files = {}
     summary = ["model,horizon,series,rmse,da\n"]  # every pair's rows in one table
-    plot_files = []
     for model in config.models:
         for horizon in config.horizons:
             forecaster = _forecaster_for(config, model, horizon)
@@ -418,15 +417,14 @@ def stage_evaluate(config: ExperimentConfig, series: list[Series],
                                            normalized=not raw_units)
                 rows.append(SeriesResult(raw.name, r, d))
                 if plots:
-                    plot_files += _plot_one(config, raw, source, forecasts, raw_units,
-                                            model, horizon, out)
+                    files.update(_plot_one(config, raw, source, forecasts, raw_units,
+                                           model, horizon))
             if reports:
                 report = aggregate(rows, model=model, horizon=horizon)
                 name = _pair_name(model, horizon)
                 table = report_to_csv(report)
                 report_files[name] = [f"report_{name}.csv", f"report_{name}.txt"]
-                for file, text in zip(report_files[name], (table, report_to_text(report))):
-                    (out / file).write_text(text, encoding="utf-8")
+                files.update(zip(report_files[name], (table, report_to_text(report))))
                 summary += [f"{model},{horizon},{line}\n" for line in table.splitlines()[1:]]
                 _say(quiet, f"{name}: mean RMSE {report.mean_rmse:.6f} "
                             f"(sd {report.sd_rmse:.6f}), mean DA {report.mean_da:.4f} "
@@ -434,20 +432,24 @@ def stage_evaluate(config: ExperimentConfig, series: list[Series],
 
     artifacts = {}
     if reports:
-        (out / "summary.csv").write_text("".join(summary), encoding="utf-8")
+        files["summary.csv"] = "".join(summary)
         report_files["summary"] = ["summary.csv"]
         artifacts["reports"] = report_files
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for file, text in files.items():
+        (out / file).write_text(text, encoding="utf-8")
     if plots:
-        _say(quiet, f"wrote {len(plot_files)} plot files to {out}")
-        artifacts["plots"] = plot_files
+        artifacts["plots"] = [file for file in files if file.startswith("plot_")]
+        _say(quiet, f"wrote {len(artifacts['plots'])} plot files to {out}")
     return artifacts
 
 
 def _plot_one(config: ExperimentConfig, series: Series, source: Series,
               forecasts: ForecastSet, raw_units: bool, model: str,
-              horizon: int, out: Path) -> list[str]:
-    """Chart `forecasts`, made from `source` (the normalized `series`) and
-    in raw units if `raw_units`, against the actual test values."""
+              horizon: int) -> dict[str, str]:
+    """{svg name: svg, csv name: csv} charting `forecasts`, made from `source`
+    (the normalized `series`), raw if `raw_units`, against the actual test values."""
     # Plot in raw units when the series has a real range, else as-is.
     if source.raw_max > source.raw_min:
         bounds = (source.raw_min, source.raw_max)
@@ -487,9 +489,7 @@ def _plot_one(config: ExperimentConfig, series: Series, source: Series,
     svg = svgchart.line_chart(curves, title=title, x_label="test day",
                               y_label="value")
     base = f"plot_{series.name}_{_pair_name(model, horizon)}"
-    (out / f"{base}.svg").write_text(svg, encoding="utf-8")
-    (out / f"{base}.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-    return [f"{base}.svg", f"{base}.csv"]
+    return {f"{base}.svg": svg, f"{base}.csv": "\n".join(csv_lines) + "\n"}
 
 
 def stage_plot(config: ExperimentConfig, series: list[Series],

@@ -179,17 +179,15 @@ def gen_activities(rng: Rng, n_series: int = 10, length: int = 3584,
         raise ValueError(f"noise_sd and amplitude_jitter must be finite and nonnegative, "
                          f"got {noise_sd}, {amplitude_jitter}")
 
-    day_levels = np.array([high_level] * 5 + [low_level] * 2)
     n_days = -(-length // samples_per_day)  # ceil
+    day_levels = np.resize(np.array([high_level] * 5 + [low_level] * 2, float), n_days)
     out = []
     for s in range(n_series):
-        values = np.empty(n_days * samples_per_day)
-        for d in range(n_days):
-            level = day_levels[d % 7]
-            if amplitude_jitter > 0:
-                level *= 1.0 + rng.uniform_scalar(-amplitude_jitter, amplitude_jitter)
-            values[d * samples_per_day:(d + 1) * samples_per_day] = level
-        values = values[:length]
+        levels = day_levels
+        if amplitude_jitter > 0:
+            levels = day_levels * (1.0 + rng.uniform(-amplitude_jitter, amplitude_jitter,
+                                                     n_days, 1)[:, 0])
+        values = np.repeat(levels, samples_per_day)[:length]
         if noise_sd > 0:
             values = values + rng.normal(length, 0.0, noise_sd)
         np.clip(values, 0.0, None, out=values)
@@ -226,38 +224,40 @@ def load_csv(path, *, date_column: bool = False) -> list[Series]:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if date_column:
-            header = header[1:]
-        if not header:
-            raise ParseError(f"{path}: header row has no series columns")
-        names = [h.strip() for h in header]
-        seen = set()
-        for name in names:
-            if not name or name in seen or any(ch in name for ch in '/\\,"\r\n'):
-                raise ParseError(f"{path}: series name {name!r} is empty, repeats "
-                                 f"or contains a path separator, comma, quote "
-                                 f"or line break")
-            seen.add(name)
-        columns: list[list[float]] = [[] for _ in names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        try:  # csv.Error, such as a field over the csv module's size limit
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
             if date_column:
-                row = row[1:]
-            if len(row) != len(names):
-                raise ParseError(
-                    f"{path} line {lineno}: expected {len(names)} values, got {len(row)}")
-            for col, cell in enumerate(row):
-                try:
-                    columns[col].append(float(cell))
-                except ValueError:
+                header = header[1:]
+            if not header:
+                raise ParseError(f"{path}: header row has no series columns")
+            names = [h.strip() for h in header]
+            seen = set()
+            for name in names:
+                if not name or name in seen or any(ch in name for ch in '/\\,"\r\n'):
+                    raise ParseError(f"{path}: series name {name!r} is empty, repeats "
+                                     f"or contains a path separator, comma, quote "
+                                     f"or line break")
+                seen.add(name)
+            columns: list[list[float]] = [[] for _ in names]
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if date_column:
+                    row = row[1:]
+                if len(row) != len(names):
                     raise ParseError(
-                        f"{path} line {lineno}: non-numeric value {cell!r} "
-                        f"in column {names[col]!r}") from None
+                        f"{path} line {lineno}: expected {len(names)} values, got {len(row)}")
+                for col, cell in enumerate(row):
+                    try:
+                        columns[col].append(float(cell))
+                    except ValueError:
+                        raise ParseError(
+                            f"{path} line {lineno}: non-numeric value {cell!r} "
+                            f"in column {names[col]!r}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path} line {reader.line_num}: {exc}") from None
     if not columns[0]:
         raise ParseError(f"{path}: no data rows")
     return [Series(name, np.array(col)) for name, col in zip(names, columns)]

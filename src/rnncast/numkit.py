@@ -44,11 +44,6 @@ class Rng:
         """Uniform draw in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def uniform_scalar(self, lo: float, hi: float) -> float:
-        if not lo < hi:
-            raise ValueError(f"uniform: need lo < hi, got [{lo}, {hi})")
-        return lo + (hi - lo) * self.next_float()
-
     def uniform(self, lo: float, hi: float, rows: int, cols: int) -> np.ndarray:
         """Matrix of i.i.d. uniform draws in [lo, hi), row-major fill order."""
         if not lo < hi:
@@ -65,18 +60,13 @@ class Rng:
             raise ValueError(f"normal: n must be nonnegative, got {n}")
         if sd < 0:
             raise ValueError(f"normal: sd must be nonnegative, got {sd}")
-        out = np.empty(n, dtype=np.float64)
-        i = 0
-        while i < n:
+        out = []
+        for _ in range(0, n, 2):  # two uniforms give two draws; an odd n drops a sine
             u1 = 1.0 - self.next_float()  # (0, 1]; keeps log() finite
-            u2 = self.next_float()
             radius = math.sqrt(-2.0 * math.log(u1))
-            angle = 2.0 * math.pi * u2
-            out[i] = radius * math.cos(angle)
-            if i + 1 < n:
-                out[i + 1] = radius * math.sin(angle)
-            i += 2
-        return mean + sd * out
+            angle = 2.0 * math.pi * self.next_float()
+            out += (radius * math.cos(angle), radius * math.sin(angle))
+        return mean + sd * np.array(out[:n])
 
     def below(self, n: int) -> int:
         """Integer in [0, n) via the multiply-high reduction."""

@@ -4,6 +4,7 @@ A module-scoped `run` in a temp directory provides artifacts that the
 evaluate/plot/manifest tests inspect, so the pipeline only trains once.
 """
 
+import hashlib
 import json
 import os
 import struct
@@ -377,6 +378,46 @@ class TestEvaluate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    SMALL_FLAGS = ["--dataset", "activities", "--length", "300", "--series", "2",
+                   "--window", "10", "--horizons", "1", "--test-len", "40",
+                   "--epochs", "2", "--units", "4", "--quiet"]
+
+    @pytest.fixture
+    def retrained_lstm(self, tmp_path):
+        """A finished seed-1 run whose lstm is then retrained at seed 2, so a
+        new evaluate would change its reports."""
+        out = tmp_path / "out"
+        assert main(["run", *self.SMALL_FLAGS, "--seed", "1", "--out", str(out)]) == 0
+        assert main(["train", *self.SMALL_FLAGS, "--seed", "2", "--models", "lstm",
+                     "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def digests(out) -> dict:
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+    def test_refused_evaluate_leaves_the_directory_as_it_was(self, retrained_lstm, capsys):
+        (retrained_lstm / "gru_f1.tsfc").unlink()
+        before = self.digests(retrained_lstm)
+        rc = main(["evaluate", *self.SMALL_FLAGS, "--seed", "2", "--models", "lstm,gru",
+                   "--out", str(retrained_lstm)])
+        assert rc == 2
+        assert "no checkpoint for gru at horizon 1" in capsys.readouterr().err
+        assert self.digests(retrained_lstm) == before
+
+    def test_non_finite_forecast_leaves_the_directory_as_it_was(self, retrained_lstm,
+                                                                 capsys):
+        path = retrained_lstm / "gru_f1.tsfc"
+        checkpoint = load_checkpoint(path)
+        checkpoint.model.params["b_out"][:] = np.inf
+        save_checkpoint(checkpoint, path)
+        before = self.digests(retrained_lstm)
+        rc = main(["evaluate", *self.SMALL_FLAGS, "--seed", "2", "--models", "lstm,gru",
+                   "--out", str(retrained_lstm)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert self.digests(retrained_lstm) == before
+
 
 class TestPlot:
     def test_one_step_chart_has_two_polylines(self, run_dir):
@@ -596,6 +637,20 @@ class TestMainEntry:
         assert err.startswith("error: generate stage failed: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("header, row", [("a" * 200_000 + ",b", "1.0,2.0"),
+                                             ("a,b", "1.0," + "2" * 200_000)],
+                             ids=["header name", "data cell"])
+    def test_field_over_csv_limit_exits_2_with_one_line(self, tmp_path, capsys,
+                                                        header, row):
+        data = tmp_path / "big.csv"
+        data.write_text(f"{header}\n1.0,2.0\n{row}\n", encoding="utf-8")
+        rc = main(["evaluate", "--data", str(data), "--models", "baseline",
+                   "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data} line ") and "field larger than" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("module", ["rnncast", "rnncast.cli"])
     def test_python_dash_m_runs_the_command_line(self, tmp_path, module):

@@ -1,7 +1,11 @@
+import hashlib
+from itertools import product
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rnncast.dataprep import gen_activities, gen_random_walk
 from rnncast.numkit import Rng
 
 
@@ -47,3 +51,64 @@ class TestRng:
 
     def test_permutation_deterministic(self):
         npt.assert_array_equal(Rng(77).permutation(50), Rng(77).permutation(50))
+
+
+def _stream_digest(draws) -> str:
+    """sha256 over each (rng, arrays) of `draws`: every array's dtype and
+    bytes, then the rng's next u64, so that a change in how many values a
+    call draws shows too."""
+    h = hashlib.sha256()
+    for rng, arrays in draws:
+        for a in arrays:
+            h.update(a.dtype.str.encode() + a.tobytes())
+        h.update(rng.next_u64().to_bytes(8, "little"))
+    return h.hexdigest()
+
+
+# (n_series, length, samples_per_day, (high, low), noise_sd, jitter); a JSON
+# config can give integer levels.
+ACTIVITY_SETTINGS = list(product((1, 2), (28, 29, 3584), (1, 4),
+                                 ((100.0, 20.0), (100, 20)), (0.0, 5.0), (0.0, 0.1)))
+# (n_series, length, start, step_sd); length 1000 draws an odd count of steps.
+WALK_SETTINGS = list(product((1, 2), (2, 3, 1000), (100.0, 1), (0.0, 0.015)))
+
+
+def _activity_draws():
+    for seed, (n, length, spd, (high, low), noise, jitter) in enumerate(ACTIVITY_SETTINGS):
+        rng = Rng(seed)
+        yield rng, [s.values for s in gen_activities(rng, n, length, spd, high, low,
+                                                        noise, jitter)]
+
+
+def _walk_draws():
+    for seed, (n, length, start, step_sd) in enumerate(WALK_SETTINGS):
+        rng = Rng(seed)
+        yield rng, [s.values for s in gen_random_walk(rng, n, length, start, step_sd)]
+
+
+def _normal_draws():
+    for seed, (n, (mean, sd)) in enumerate(product((0, 1, 2, 3, 1001),
+                                                   ((0.0, 1.0), (2.0, 3.0), (0.0, 0.0)))):
+        rng = Rng(seed)
+        yield rng, [rng.normal(n, mean, sd)]
+
+
+def _permutation_draws():
+    for n in (0, 1, 2, 790):
+        rng = Rng(n)
+        yield rng, [rng.permutation(n)]
+
+
+class TestPinnedStreams:
+    """The generators' output bytes and the draws they consume, pinned to
+    digests of the loop-per-draw implementation: a faster generator must
+    give the same series."""
+
+    @pytest.mark.parametrize("draws, expected", [
+        (_activity_draws, "9f1c71d1a6d5137a43d731e4bd9ea137989f9f0925b2efed5e00a819439b8cee"),
+        (_walk_draws, "94072dcee88fa526468ec40fe3ad65a5d92c35bac108db85ae0040638b5b93f4"),
+        (_normal_draws, "c3547127097a2713db276e4c74b82f787c42e5fe27ec9948a9f6d803e900dc38"),
+        (_permutation_draws, "c0032a1ee7aba8ae59c5c8bc89d9f3805076b6fa3198bb1f5fdf34370773daa5"),
+    ], ids=["gen_activities", "gen_random_walk", "normal", "permutation"])
+    def test_digest(self, draws, expected):
+        assert _stream_digest(draws()) == expected

@@ -4,13 +4,14 @@
 
 REV is a git revision of this repository, exported with `git archive` into a
 temporary directory that is removed afterwards; DIR is a checkout used as it
-is. This tree and that one each make the same five `rnncast run`s, each in a
+is. This tree and that one each make the same six `rnncast run`s, each in a
 fresh interpreter with PYTHONPATH=<tree>/src and one BLAS thread:
 
     default-train, desk-train, csv-eval   perfbench/run.py's flags at seed 1
     default-train-clip                    default-train with --grad-clip 0.5
     csv-eval-raw                          csv-eval with --report-units raw
                                           --fit-bounds-on-train
+    desk-train-walk                       desk-train on --dataset random-walk
 
 The flags come from `workload_argv` in this tree's perfbench/run.py, and both
 trees read one csv-eval input file. The sha256 of every artifact except
@@ -41,7 +42,8 @@ RUNS = {"default-train": ("default-train", []),
         "desk-train": ("desk-train", []),
         "csv-eval": ("csv-eval", []),
         "default-train-clip": ("default-train", ["--grad-clip", "0.5"]),
-        "csv-eval-raw": ("csv-eval", ["--report-units", "raw", "--fit-bounds-on-train"])}
+        "csv-eval-raw": ("csv-eval", ["--report-units", "raw", "--fit-bounds-on-train"]),
+        "desk-train-walk": ("desk-train", ["--dataset", "random-walk"])}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # `cli.main` through -c rather than `-m rnncast`, which older trees lack.
 MAIN = "import sys; from rnncast.cli import main; sys.exit(main(sys.argv[1:]))"
