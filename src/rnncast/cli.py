@@ -20,24 +20,27 @@ chains the stages and writes a manifest listing every artifact it produced:
 Every command builds its dataset once: `generate_series` reads the CSV or
 runs the generator, and each series is normalized once for all stages. The
 stages: generate writes dataset.csv with the writer the `generate` command
-uses; train writes the checkpoints; and one forecast stage, `stage_evaluate`,
-loads each (model, horizon) checkpoint once, feeds each series' forecast set
-to its score row (`reports`) and plot files (`plots`), and writes all of them
-after the last score: `plot` charts only, and `run` does both, timed as one.
+uses; train runs `_train_pair`, which trains a network and writes its
+checkpoint and loss history; and the one forecast stage, `stage_evaluate`,
+runs `_score_pair`, which loads a checkpoint once and returns the texts of
+each series' score row (`reports`) and plot files (`plots`), written after
+the last score: `plot` charts only, and `run` does both, timed as one.
 
-The train stage trains its (model, horizon) networks in parallel, on
-min(pairs, usable CPUs) spawned worker processes that each run BLAS on one
-thread; with one worker it trains in-process. Artifacts are byte-identical
-to a sequential run, but the progress lines of different pairs may
-interleave. A script that calls `main` must do so under the `__main__`
-check, because each worker imports the script's main module.
+Both stages map their pair function with what `_pair_map` yields: min(network
+pairs, usable CPUs) spawned workers that each run BLAS on one thread, or
+in-process with one. `run` opens one pool for both stages, so the parent
+never holds a trained network; `evaluate` and `plot` score in-process.
+Artifacts are byte-identical to a sequential run, but the progress lines of
+different pairs may interleave. A script that calls `main` must do so under
+the `__main__` check, because each worker imports the script's main module.
 
 `generate` maps its flags to generator parameters through GENERATOR_FLAGS;
 a flag whose parameter the chosen generator does not take is an error.
 
 Exit codes: 0 success, 2 usage/config/data error, 3 numeric failure during
-training, 4 a training worker process died (killed, say, by the OS when out
-of memory); a run that stops on an error writes no manifest.json.
+training, 4 a worker process died while training or scoring (killed, say,
+by the OS when out of memory); a run that stops on an error writes no
+manifest.json, though pairs that finished training keep their files.
 """
 
 from __future__ import annotations
@@ -60,11 +63,10 @@ import numpy as np
 from . import __version__, svgchart
 from .dataprep import (PartitionSpec, Series, denormalize, gen_activities,
                        gen_random_walk, load_csv, make_windows, normalize, save_csv)
-from .evalkit import (ForecastSet, PersistenceBaseline, SeriesResult, aggregate,
-                      evaluate, report_to_csv, report_to_text)
+from .evalkit import (EvalReport, ForecastSet, PersistenceBaseline, SeriesResult,
+                      aggregate, evaluate, report_to_csv, report_to_text)
 from .numkit import NumericError, Rng
-from .training import (Checkpoint, TrainConfig, load_checkpoint, save_checkpoint,
-                       train)
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 class ConfigError(ValueError):
@@ -302,10 +304,39 @@ def _single_blas_thread_env():
                 os.environ[name] = value
 
 
+def _network_pairs(config: ExperimentConfig) -> list[tuple[str, int]]:
+    """The (model, horizon) pairs that have a network to train; a baseline
+    has nothing to fit."""
+    return [(model, horizon) for model in config.models if model != "baseline"
+            for horizon in config.horizons]
+
+
+@contextmanager
+def _pair_map(config: ExperimentConfig):
+    """Yield (map, workers): the one way the stages map a pair function over
+    pairs, in pair order. With `workers` < 2 it is the builtin `map`,
+    in-process; else `map` of a pool of `workers` spawned processes, which
+    serves every stage run inside the block. Spawn, not fork: a forked child
+    would inherit the parent's BLAS thread pool and oversubscribe the CPUs.
+    After a failed pair, `map` starts no other, and leaving the pool waits
+    for the running ones."""
+    workers = _worker_count(len(_network_pairs(config)))
+    if workers < 2:
+        yield map, workers
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with _single_blas_thread_env(), ProcessPoolExecutor(
+            workers, mp_context=get_context("spawn")) as pool:
+        yield pool.map, workers
+
+
 def _train_pair(pair: tuple[str, int], source: Series, config: ExperimentConfig,
-                quiet: bool) -> tuple[Checkpoint, list[float], float]:
+                quiet: bool) -> float:
     """Train the `pair` = (model, horizon) network on the normalized
-    `source`; returns (checkpoint, per-epoch losses, training seconds).
+    `source` and write its checkpoint and loss history; returns the
+    training seconds.
 
     Module-level so that a spawned worker can run it: it prints its own
     progress lines unless `quiet`.
@@ -326,47 +357,26 @@ def _train_pair(pair: tuple[str, int], source: Series, config: ExperimentConfig,
     start = time.perf_counter()
     checkpoint, history = train(model, dataset, config.train_config(),
                                 progress=report)
-    return checkpoint, history, time.perf_counter() - start
-
-
-def _train_in_workers(pairs: list, source: Series, config: ExperimentConfig,
-                      quiet: bool, workers: int) -> list:
-    """_train_pair's result for every pair, in order, from `workers` spawned
-    processes. Spawn, not fork: a forked child would inherit the parent's
-    BLAS thread pool and oversubscribe the CPUs. After a failed pair, `map`
-    starts no other, and leaving the pool waits for the running ones."""
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with _single_blas_thread_env(), ProcessPoolExecutor(
-            workers, mp_context=get_context("spawn")) as pool:
-        return list(pool.map(_train_pair, pairs, repeat(source), repeat(config),
-                             repeat(quiet)))
-
-
-def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool) -> dict:
+    seconds = time.perf_counter() - start
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    source = sources[config.train_series_index]
+    save_checkpoint(checkpoint, out / f"{name}.tsfc")
+    (out / f"loss_{name}.csv").write_text("epoch,loss\n" + "".join(
+        f"{e},{loss!r}\n" for e, loss in enumerate(history, start=1)), encoding="utf-8")
+    return seconds
 
-    pairs = [(model, horizon) for model in config.models if model != "baseline"
-             for horizon in config.horizons]  # baseline: nothing to fit
-    workers = _worker_count(len(pairs))
-    if workers > 1:
-        results = _train_in_workers(pairs, source, config, quiet, workers)
-    else:
-        results = list(map(_train_pair, pairs, repeat(source), repeat(config),
-                           repeat(quiet)))
 
-    checkpoints, losses, seconds = {}, {}, {}
-    for (model, horizon), (checkpoint, history, train_s) in zip(pairs, results):
-        name = _pair_name(model, horizon)
-        checkpoints[name], losses[name] = f"{name}.tsfc", f"loss_{name}.csv"
-        save_checkpoint(checkpoint, out / checkpoints[name])
-        (out / losses[name]).write_text("epoch,loss\n" + "".join(
-            f"{e},{loss!r}\n" for e, loss in enumerate(history, start=1)), encoding="utf-8")
-        seconds[name] = round(train_s, 3)
-    return {"checkpoints": checkpoints, "loss_histories": losses,
+def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool,
+                pair_map, workers: int) -> dict:
+    """Train every network pair through `pair_map`, which `_pair_map` made
+    for `workers`; each pair writes its own files as it finishes."""
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    pairs = _network_pairs(config)
+    results = pair_map(_train_pair, pairs, repeat(sources[config.train_series_index]),
+                       repeat(config), repeat(quiet))
+    names = [_pair_name(model, horizon) for model, horizon in pairs]
+    seconds = {name: round(train_s, 3) for name, train_s in zip(names, results)}
+    return {"checkpoints": {name: f"{name}.tsfc" for name in names},
+            "loss_histories": {name: f"loss_{name}.csv" for name in names},
             "training": {"workers": workers, "train_seconds": seconds}}
 
 
@@ -391,44 +401,63 @@ def _forecaster_for(config: ExperimentConfig, model: str, horizon: int):
     return checkpoint.model
 
 
+def _score_pair(pair: tuple[str, int], series: list[Series], sources: list[Series],
+                config: ExperimentConfig, reports: bool,
+                plots: bool) -> tuple[EvalReport | None, dict[str, str]]:
+    """Forecast every series with the `pair` = (model, horizon) forecaster,
+    loaded once; returns its report (None without `reports`) and its files
+    as {file name: text}: a chart per series with `plots`, then the report's
+    CSV and text with `reports`. One forecast set is held at a time.
+
+    Module-level so that a spawned worker can run it; it writes nothing.
+    """
+    model, horizon = pair
+    forecaster = _forecaster_for(config, model, horizon)
+    raw_units = reports and config.report_units == "raw"
+    spec = PartitionSpec(config.window, horizon, config.test_len)
+    rows, files = [], {}
+    for raw, source in zip(series, sources):
+        forecasts, r, d = evaluate(forecaster, source, spec, normalized=not raw_units)
+        rows.append(SeriesResult(raw.name, r, d))
+        if plots:
+            files.update(_plot_one(config, raw, source, forecasts, raw_units,
+                                   model, horizon))
+    if not reports:
+        return None, files
+    report = aggregate(rows, model=model, horizon=horizon)
+    name = _pair_name(model, horizon)
+    files[f"report_{name}.csv"] = report_to_csv(report)
+    files[f"report_{name}.txt"] = report_to_text(report)
+    return report, files
+
+
 def stage_evaluate(config: ExperimentConfig, series: list[Series],
-                   sources: list[Series], quiet: bool, reports: bool = True,
-                   plots: bool = False) -> dict:
-    """The one forecast stage: each (model, horizon) forecaster is loaded
-    once and forecasts each series once. The forecast set gives the series'
-    score row, with `reports`, and its chart, with `plots`; it is then
-    dropped, so one set is held at a time. Files are written in one loop
+                   sources: list[Series], quiet: bool, pair_map=map,
+                   reports: bool = True, plots: bool = False) -> dict:
+    """The one forecast stage: `_score_pair` for every (model, horizon)
+    pair through `pair_map`, which gives each pair's score rows, with
+    `reports`, and charts, with `plots`. Files are written in one loop
     after the last score, so a refused stage leaves the directory as it was.
 
     Scores are in the configured report units; a pass that writes no
     reports forecasts in normalized units.
     """
-    raw_units = reports and config.report_units == "raw"
+    pairs = [(model, horizon) for model in config.models for horizon in config.horizons]
     files = {}  # file name -> text, in creation order
     report_files = {}
     summary = ["model,horizon,series,rmse,da\n"]  # every pair's rows in one table
-    for model in config.models:
-        for horizon in config.horizons:
-            forecaster = _forecaster_for(config, model, horizon)
-            spec = PartitionSpec(config.window, horizon, config.test_len)
-            rows = []
-            for raw, source in zip(series, sources):
-                forecasts, r, d = evaluate(forecaster, source, spec,
-                                           normalized=not raw_units)
-                rows.append(SeriesResult(raw.name, r, d))
-                if plots:
-                    files.update(_plot_one(config, raw, source, forecasts, raw_units,
-                                           model, horizon))
-            if reports:
-                report = aggregate(rows, model=model, horizon=horizon)
-                name = _pair_name(model, horizon)
-                table = report_to_csv(report)
-                report_files[name] = [f"report_{name}.csv", f"report_{name}.txt"]
-                files.update(zip(report_files[name], (table, report_to_text(report))))
-                summary += [f"{model},{horizon},{line}\n" for line in table.splitlines()[1:]]
-                _say(quiet, f"{name}: mean RMSE {report.mean_rmse:.6f} "
-                            f"(sd {report.sd_rmse:.6f}), mean DA {report.mean_da:.4f} "
-                            f"(sd {report.sd_da:.4f})")
+    for report, pair_files in pair_map(_score_pair, pairs, repeat(series), repeat(sources),
+                                       repeat(config), repeat(reports), repeat(plots)):
+        files.update(pair_files)
+        if report is not None:
+            name = _pair_name(report.model, report.horizon)
+            report_files[name] = [file for file in pair_files if file.startswith("report_")]
+            table = pair_files[report_files[name][0]]
+            summary += [f"{report.model},{report.horizon},{line}\n"
+                        for line in table.splitlines()[1:]]
+            _say(quiet, f"{name}: mean RMSE {report.mean_rmse:.6f} "
+                        f"(sd {report.sd_rmse:.6f}), mean DA {report.mean_da:.4f} "
+                        f"(sd {report.sd_da:.4f})")
 
     artifacts = {}
     if reports:
@@ -522,10 +551,12 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
         series, sources = _load(config)
         (out / "manifest.json").unlink(missing_ok=True)  # a manifest marks a finished run
         artifacts.update(stage_generate(config, series, quiet))
-    with _run_stage("train", timings):
-        artifacts.update(stage_train(config, sources, quiet))
-    with _run_stage("evaluate", timings):  # plots too
-        artifacts.update(stage_evaluate(config, series, sources, quiet, plots=True))
+    with _pair_map(config) as (pair_map, workers):  # one pool serves both stages
+        with _run_stage("train", timings):
+            artifacts.update(stage_train(config, sources, quiet, pair_map, workers))
+        with _run_stage("evaluate", timings):  # plots too
+            artifacts.update(stage_evaluate(config, series, sources, quiet, pair_map,
+                                            plots=True))
     timings["total"] = round(time.perf_counter() - t_total, 3)
 
     manifest = {"version": __version__, "seed": config.seed,
@@ -672,7 +703,8 @@ def main(argv=None) -> int:
             return 0
         series, sources = _load(config)
         if args.command == "train":
-            stage_train(config, sources, args.quiet)
+            with _pair_map(config) as (pair_map, workers):
+                stage_train(config, sources, args.quiet, pair_map, workers)
         elif args.command == "evaluate":
             stage_evaluate(config, series, sources, args.quiet)
         else:
@@ -685,7 +717,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # A training worker that died. Imported here, not at the top: the pool
+        # A worker that died. Imported here, not at the top: the pool
         # module loads multiprocessing and socket, which `import rnncast` skips.
         from concurrent.futures.process import BrokenProcessPool
         if not isinstance(exc, BrokenProcessPool):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 
 
 class ShapeError(ValueError):
@@ -34,11 +35,21 @@ class Rng:
         self._state = int(seed) & _U64_MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64_MASK
+        self._state = (self._state + _GOLDEN) & _U64_MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
         return z ^ (z >> 31)
+
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """The next `n` outputs of next_u64 as a uint64 array, in one pass:
+        the state advances by `n` steps. numpy's uint64 arithmetic wraps
+        mod 2**64, as the masks in next_u64 do."""
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _U64_MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
     def next_float(self) -> float:
         """Uniform draw in [0, 1) with 53 bits of precision."""
@@ -50,9 +61,8 @@ class Rng:
             raise ValueError(f"uniform: need lo < hi, got [{lo}, {hi})")
         if rows < 1 or cols < 1:
             raise ValueError(f"uniform: dimensions must be positive, got {rows}x{cols}")
-        span = hi - lo
-        vals = [lo + span * self.next_float() for _ in range(rows * cols)]
-        return np.array(vals, dtype=np.float64).reshape(rows, cols)
+        unit = (self._next_u64s(rows * cols) >> np.uint64(11)) * (1.0 / (1 << 53))
+        return (lo + (hi - lo) * unit).reshape(rows, cols)
 
     def normal(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         """1-D array of Gaussian draws via Box-Muller on the uniform stream."""

@@ -270,13 +270,14 @@ class TestTrain:
         assert rc == 3
 
     def test_dead_worker_exits_4_with_one_line(self, tmp_path, monkeypatch, capsys):
+        from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        def dies(*args):
+        def dies(*args, **kwargs):
             raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
         monkeypatch.setattr(cli, "_worker_count", lambda pairs: 2)
-        monkeypatch.setattr(cli, "_train_in_workers", dies)
+        monkeypatch.setattr(ProcessPoolExecutor, "map", dies)  # the pool path of _pair_map
         out = tmp_path / "out"
         rc = main(["run", *DESK_FLAGS, "--out", str(out), "--quiet"])
         assert rc == 4
@@ -553,6 +554,50 @@ class TestRun:
             assert sorted(training["train_seconds"]) == [
                 "gru_f1", "gru_f3", "lstm_f1", "lstm_f3"]
             assert all(s > 0 for s in training["train_seconds"].values())
+
+    @pytest.fixture(scope="class")
+    def pooled_run(self, tmp_path_factory):
+        """A two-worker desk `run`, with the parent's checkpoint loads and
+        network forecasts counted, and the same run in one process."""
+        calls = {"load_checkpoint": 0, "forecast": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        outs = {}
+        for workers in (1, 2):
+            outs[workers] = tmp_path_factory.mktemp(f"pooled_w{workers}")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_worker_count", lambda pairs, n=workers: min(pairs, n))
+                if workers == 2:
+                    mp.setattr(cli, "load_checkpoint",
+                               counted("load_checkpoint", cli.load_checkpoint))
+                    mp.setattr(ModelState, "forecast", counted("forecast", ModelState.forecast))
+                assert main(["run", *DESK_FLAGS, "--out", str(outs[workers]),
+                             "--quiet"]) == 0
+        return outs, calls
+
+    def test_pooled_run_scores_in_the_workers(self, pooled_run):
+        outs, calls = pooled_run
+        assert calls == {"load_checkpoint": 0, "forecast": 0}
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == sorted(p.name for p in outs[2].iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+    def test_manifest_times_each_stage(self, pooled_run):
+        manifest = json.loads((pooled_run[0][2] / "manifest.json").read_text())
+        timings = manifest["timings_seconds"]
+        assert sorted(timings) == ["evaluate", "generate", "total", "train"]
+        assert all(s >= 0 for s in timings.values())
+        assert timings["total"] >= timings["train"] + timings["evaluate"] - 0.002  # rounding
+        assert manifest["training"]["workers"] == 2
+        assert sorted(manifest["training"]["train_seconds"]) == [
+            "gru_f1", "gru_f3", "lstm_f1", "lstm_f3"]
 
     RERUN_FLAGS = ["--dataset", "activities", "--length", "320", "--series", "2",
                    "--window", "10", "--horizons", "1", "--test-len", "50",

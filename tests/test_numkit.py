@@ -112,3 +112,25 @@ class TestPinnedStreams:
     ], ids=["gen_activities", "gen_random_walk", "normal", "permutation"])
     def test_digest(self, draws, expected):
         assert _stream_digest(draws()) == expected
+
+
+
+class TestVectorStream:
+    """The vector stream is the scalar `next_u64` stream, n at a time, and
+    `uniform` built on it gives the per-draw loop's bytes."""
+
+    @pytest.mark.parametrize("seed, shape", list(product(
+        (0, 1, 12345678901234567, 2**64 - 1), ((1, 1), (3, 7), (512, 1), (128, 128)))))
+    def test_matches_the_scalar_stream_and_leaves_the_same_state(self, seed, shape):
+        n = shape[0] * shape[1]
+        vector, scalar = Rng(seed), Rng(seed)
+        draws = vector._next_u64s(n)
+        assert draws.dtype == np.uint64
+        assert draws.tolist() == [scalar.next_u64() for _ in range(n)]
+        assert vector.next_u64() == scalar.next_u64()
+
+        lo, hi = -0.25, 0.75
+        got = vector.uniform(lo, hi, *shape)
+        want = np.array([lo + (hi - lo) * scalar.next_float() for _ in range(n)])
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+        assert vector.next_u64() == scalar.next_u64()
