@@ -27,20 +27,22 @@ each series' score row (`reports`) and plot files (`plots`), written after
 the last score: `plot` charts only, and `run` does both, timed as one.
 
 Both stages map their pair function with what `_pair_map` yields: min(network
-pairs, usable CPUs) spawned workers that each run BLAS on one thread, or
+pairs, usable CPUs) workers that each run BLAS on one thread, forked from a
+one-thread parent and else spawned (the manifest's `start_method`), or
 in-process with one. `run` opens one pool for both stages, so the parent
 never holds a trained network; `evaluate` and `plot` score in-process.
 Artifacts are byte-identical to a sequential run, but the progress lines of
 different pairs may interleave. A script that calls `main` must do so under
-the `__main__` check, because each worker imports the script's main module.
+the `__main__` check, because each spawned worker imports its main module.
 
 `generate` maps its flags to generator parameters through GENERATOR_FLAGS;
 a flag whose parameter the chosen generator does not take is an error.
 
 Exit codes: 0 success, 2 usage/config/data error, 3 numeric failure during
-training, 4 a worker process died while training or scoring (killed, say,
-by the OS when out of memory); a run that stops on an error writes no
-manifest.json, though pairs that finished training keep their files.
+training, 4 a worker process died (killed, say, by the OS when out of
+memory): "a training worker died", or "a scoring worker died" in `run`'s
+evaluate stage; a run that stops on an error writes no manifest.json,
+though pairs that finished training keep their files.
 """
 
 from __future__ import annotations
@@ -283,6 +285,14 @@ def _worker_count(pairs: int) -> int:
     return min(pairs, cpus)
 
 
+def _start_method() -> str:
+    """"fork" when /proc/self/task lists one thread, else "spawn"."""
+    try:
+        return "fork" if len(os.listdir("/proc/self/task")) == 1 else "spawn"
+    except OSError:
+        return "spawn"
+
+
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -313,23 +323,25 @@ def _network_pairs(config: ExperimentConfig) -> list[tuple[str, int]]:
 
 @contextmanager
 def _pair_map(config: ExperimentConfig):
-    """Yield (map, workers): the one way the stages map a pair function over
-    pairs, in pair order. With `workers` < 2 it is the builtin `map`,
-    in-process; else `map` of a pool of `workers` spawned processes, which
-    serves every stage run inside the block. Spawn, not fork: a forked child
-    would inherit the parent's BLAS thread pool and oversubscribe the CPUs.
-    After a failed pair, `map` starts no other, and leaving the pool waits
-    for the running ones."""
+    """Yield (map, pool): the one way the stages map a pair function over
+    pairs, in pair order, and the manifest's {"workers", "start_method"}.
+    With fewer than 2 workers it is the builtin `map`, in-process; else
+    `map` of a pool of `workers` processes serving every stage in the block.
+    It forks from a one-thread parent, where no other thread can hold a lock
+    at fork time and BLAS has no thread pool to pass on, and spawns from any
+    other (`_start_method`). After a failed pair, `map` starts no other, and
+    leaving the pool waits for the running ones."""
     workers = _worker_count(len(_network_pairs(config)))
     if workers < 2:
-        yield map, workers
+        yield map, {"workers": workers, "start_method": "in-process"}
         return
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
+    method = _start_method()
     with _single_blas_thread_env(), ProcessPoolExecutor(
-            workers, mp_context=get_context("spawn")) as pool:
-        yield pool.map, workers
+            workers, mp_context=get_context(method)) as pool:
+        yield pool.map, {"workers": workers, "start_method": method}
 
 
 def _train_pair(pair: tuple[str, int], source: Series, config: ExperimentConfig,
@@ -338,8 +350,8 @@ def _train_pair(pair: tuple[str, int], source: Series, config: ExperimentConfig,
     `source` and write its checkpoint and loss history; returns the
     training seconds.
 
-    Module-level so that a spawned worker can run it: it prints its own
-    progress lines unless `quiet`.
+    Module-level so that a worker can run it: it prints its own progress
+    lines unless `quiet`.
     """
     model, horizon = pair
     name = _pair_name(model, horizon)
@@ -366,9 +378,9 @@ def _train_pair(pair: tuple[str, int], source: Series, config: ExperimentConfig,
 
 
 def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool,
-                pair_map, workers: int) -> dict:
+                pair_map, pool: dict) -> dict:
     """Train every network pair through `pair_map`, which `_pair_map` made
-    for `workers`; each pair writes its own files as it finishes."""
+    with `pool`; each pair writes its own files as it finishes."""
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     pairs = _network_pairs(config)
     results = pair_map(_train_pair, pairs, repeat(sources[config.train_series_index]),
@@ -377,7 +389,7 @@ def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool,
     seconds = {name: round(train_s, 3) for name, train_s in zip(names, results)}
     return {"checkpoints": {name: f"{name}.tsfc" for name in names},
             "loss_histories": {name: f"loss_{name}.csv" for name in names},
-            "training": {"workers": workers, "train_seconds": seconds}}
+            "training": {**pool, "train_seconds": seconds}}
 
 
 def _forecaster_for(config: ExperimentConfig, model: str, horizon: int):
@@ -409,7 +421,7 @@ def _score_pair(pair: tuple[str, int], series: list[Series], sources: list[Serie
     as {file name: text}: a chart per series with `plots`, then the report's
     CSV and text with `reports`. One forecast set is held at a time.
 
-    Module-level so that a spawned worker can run it; it writes nothing.
+    Module-level so that a worker can run it; it writes nothing.
     """
     model, horizon = pair
     forecaster = _forecaster_for(config, model, horizon)
@@ -539,6 +551,9 @@ def _run_stage(name: str, timings: dict):
         raise ConfigError(f"{name} stage failed: {exc}") from exc
     except NumericError as exc:
         raise NumericError(f"{name} stage failed: {exc}") from exc
+    except RuntimeError as exc:  # such as a dead worker, which `main` reports
+        exc.stage = name
+        raise
     timings[name] = round(time.perf_counter() - t0, 3)
 
 
@@ -551,9 +566,9 @@ def stage_run(config: ExperimentConfig, quiet: bool) -> dict:
         series, sources = _load(config)
         (out / "manifest.json").unlink(missing_ok=True)  # a manifest marks a finished run
         artifacts.update(stage_generate(config, series, quiet))
-    with _pair_map(config) as (pair_map, workers):  # one pool serves both stages
+    with _pair_map(config) as (pair_map, pool):  # one pool serves both stages
         with _run_stage("train", timings):
-            artifacts.update(stage_train(config, sources, quiet, pair_map, workers))
+            artifacts.update(stage_train(config, sources, quiet, pair_map, pool))
         with _run_stage("evaluate", timings):  # plots too
             artifacts.update(stage_evaluate(config, series, sources, quiet, pair_map,
                                             plots=True))
@@ -703,8 +718,8 @@ def main(argv=None) -> int:
             return 0
         series, sources = _load(config)
         if args.command == "train":
-            with _pair_map(config) as (pair_map, workers):
-                stage_train(config, sources, args.quiet, pair_map, workers)
+            with _pair_map(config) as (pair_map, pool):
+                stage_train(config, sources, args.quiet, pair_map, pool)
         elif args.command == "evaluate":
             stage_evaluate(config, series, sources, args.quiet)
         else:
@@ -722,7 +737,8 @@ def main(argv=None) -> int:
         from concurrent.futures.process import BrokenProcessPool
         if not isinstance(exc, BrokenProcessPool):
             raise
-        print(f"error: a training worker died ({exc})", file=sys.stderr)
+        work = "scoring" if getattr(exc, "stage", None) == "evaluate" else "training"
+        print(f"error: a {work} worker died ({exc})", file=sys.stderr)
         return 4
 
 

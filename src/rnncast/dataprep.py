@@ -30,6 +30,9 @@ class ParseError(ValueError):
     """Raised on malformed CSV input; message cites the offending line."""
 
 
+MAX_LINE_CHARS = 4 * 1024 * 1024  # longest CSV line, terminator included
+
+
 @dataclass
 class Series:
     """A named univariate series; raw bounds are set once normalized."""
@@ -220,10 +223,17 @@ def load_csv(path, *, date_column: bool = False) -> list[Series]:
 
     With date_column=True the first column is skipped (dates/labels). Names
     name files and fill report CSV rows, so must be unique, non-empty and
-    free of path separators, commas, quotes and line breaks.
+    free of path separators, commas, quotes and line breaks. A line longer
+    than MAX_LINE_CHARS, such as the endless one of /dev/zero, is refused.
     """
+    def bounded(fh):
+        for n, line in enumerate(iter(lambda: fh.readline(MAX_LINE_CHARS + 1), ""), 1):
+            if len(line) > MAX_LINE_CHARS:
+                raise ParseError(f"{path} line {n}: longer than {MAX_LINE_CHARS} characters")
+            yield line
+
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(bounded(fh))
         try:  # csv.Error, such as a field over the csv module's size limit
             header = next(reader, None)
             if header is None:

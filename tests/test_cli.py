@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
@@ -22,8 +23,8 @@ from rnncast.cells import ModelState, init_model
 from rnncast.cli import (GENERATOR_FLAGS, GENERATOR_PARAMS, GENERATORS,
                          ConfigError, ExperimentConfig, _config_from_args,
                          build_parser, main)
-from rnncast.dataprep import (PartitionSpec, Series, gen_random_walk, load_csv,
-                              normalize, save_csv)
+from rnncast.dataprep import (MAX_LINE_CHARS, PartitionSpec, Series, gen_random_walk,
+                              load_csv, normalize, save_csv)
 from rnncast.evalkit import evaluate
 from rnncast.numkit import Rng
 from rnncast.training import Checkpoint, load_checkpoint, save_checkpoint
@@ -283,6 +284,26 @@ class TestTrain:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error: a training worker died (") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
+    def test_dead_scoring_worker_exits_4_with_one_line(self, tmp_path, monkeypatch, capsys):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        def dies_scoring(pool, fn, *iterables):
+            if fn is cli._score_pair:
+                raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+            return map(fn, *iterables)  # the train stage succeeds
+
+        monkeypatch.setattr(cli, "_worker_count", lambda pairs: 2)
+        monkeypatch.setattr(ProcessPoolExecutor, "map", dies_scoring)
+        out = tmp_path / "out"
+        rc = main(["run", *DESK_FLAGS, "--out", str(out), "--quiet"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: a scoring worker died (") and err.count("\n") == 1
+        assert sorted(p.name for p in out.glob("*.tsfc")) == [
+            "gru_f1.tsfc", "gru_f3.tsfc", "lstm_f1.tsfc", "lstm_f3.tsfc"]
         assert not (out / "manifest.json").exists()
 
 
@@ -631,6 +652,54 @@ class TestRun:
         assert rc == 0
 
 
+class TestStartMethod:
+    """`_pair_map` forks its workers from a one-thread process and spawns
+    them from any other; either way a run writes the same bytes."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+    def test_spawns_while_another_thread_runs(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cli._start_method() == "spawn"
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+    def test_forks_from_a_fresh_interpreter_with_one_blas_thread(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", "from rnncast import cli; print(cli._start_method())"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "fork\n")
+
+    # Forcing fork in this process, which may hold BLAS threads, makes
+    # Python 3.12+ warn that the child may deadlock.
+    @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks")
+    def test_forked_and_spawned_pools_write_the_in_process_bytes(self, tmp_path,
+                                                                monkeypatch):
+        outs = {}
+        for method, workers in (("in-process", 1), ("fork", 2), ("spawn", 2)):
+            monkeypatch.setattr(cli, "_worker_count", lambda pairs, n=workers: min(pairs, n))
+            monkeypatch.setattr(cli, "_start_method", lambda method=method: method)
+            outs[method] = tmp_path / method
+            assert main(["run", *DESK_FLAGS, "--out", str(outs[method]), "--quiet"]) == 0
+            training = json.loads((outs[method] / "manifest.json").read_text())["training"]
+            assert (training["workers"], training["start_method"]) == (workers, method)
+        names = sorted(p.name for p in outs["in-process"].iterdir())
+        for method in ("fork", "spawn"):
+            assert sorted(p.name for p in outs[method].iterdir()) == names
+            for name in names:
+                if name != "manifest.json":
+                    assert (outs[method] / name).read_bytes() == \
+                        (outs["in-process"] / name).read_bytes(), (method, name)
+
+
 class TestMainEntry:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -696,6 +765,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data} line ") and "field larger than" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_line_exits_2_with_one_line(self, tmp_path):
+        # The address-space limit is set in the child only: without a bound
+        # on the line, the read ends in a MemoryError there.
+        code = ("import resource, sys\n"
+                "from rnncast.cli import main\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "evaluate", "--data", "/dev/zero",
+             "--models", "baseline", "--out", str(tmp_path / "out"), "--quiet"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == (f"error: /dev/zero line 1: longer than {MAX_LINE_CHARS} "
+                               f"characters\n")
 
     @pytest.mark.parametrize("module", ["rnncast", "rnncast.cli"])
     def test_python_dash_m_runs_the_command_line(self, tmp_path, module):

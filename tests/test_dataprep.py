@@ -4,10 +4,14 @@ make_windows is checked against an exhaustive enumeration oracle that
 walks every candidate start index and applies the region rules directly.
 """
 
+import os
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rnncast import dataprep
 from rnncast.dataprep import (ParseError, PartitionSpec,
                               Series, denormalize, gen_activities,
                               gen_random_walk, load_csv, make_windows,
@@ -295,6 +299,33 @@ class TestCsv:
         for orig, got in zip(series, back):
             assert orig.name == got.name
             npt.assert_array_equal(orig.values, got.values)
+
+    def test_line_over_the_limit_cites_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataprep, "MAX_LINE_CHARS", 8)
+        p = tmp_path / "long.csv"
+        p.write_text("x,y\n1,23456\n1,234567\n")  # 8 characters, then 9
+        with pytest.raises(ParseError) as raised:
+            load_csv(p)
+        assert str(raised.value) == f"{p} line 3: longer than 8 characters"
+        p.write_text("x,y\n1,23456\n2,34567\n")
+        npt.assert_array_equal(load_csv(p)[1].values, [23456, 34567])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_csv_through_a_named_pipe_loads(self, tmp_path):
+        text = "a,b\n" + "".join(f"{i}.5,{i * i}\n" for i in range(300))
+        (tmp_path / "data.csv").write_text(text)
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            series = load_csv(pipe)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        for piped, filed in zip(series, load_csv(tmp_path / "data.csv"), strict=True):
+            assert piped.name == filed.name
+            npt.assert_array_equal(piped.values, filed.values)
 
     def test_save_rejects_mismatched_lengths(self, tmp_path):
         with pytest.raises(ValueError, match="lengths"):
