@@ -210,6 +210,18 @@ class ExperimentConfig:
                 PartitionSpec(self.window, horizon, self.test_len)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # The largest network's parameters, gradients and Adam's two moments,
+        # plus one batch's yielded steps, against physical memory.
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, OSError, ValueError):  # not reported on this platform
+            memory = -1
+        networks, u = set(self.models) - {"baseline"}, self.units
+        need = (32 * ((4 if "lstm" in networks else 3) * (u * u + 2 * u)
+                      + max(self.horizons) * (u + 1)) + 56 * self.window * self.batch_size * u)
+        if networks and 0 < memory < need:
+            raise ConfigError(f"units={u} needs about {need / 2**30:.1f} GiB to train, "
+                              f"more than the {memory / 2**30:.1f} GiB of memory")
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})

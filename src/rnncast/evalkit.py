@@ -39,22 +39,18 @@ class ForecastSet:
     predicted: np.ndarray   # (n, horizon)
     actual: np.ndarray      # (n, horizon)
     last_inputs: np.ndarray  # (n,)
-    origins: np.ndarray     # (n,)
 
     def __post_init__(self):
         self.predicted = np.asarray(self.predicted, dtype=np.float64)
         self.actual = np.asarray(self.actual, dtype=np.float64)
         self.last_inputs = np.asarray(self.last_inputs, dtype=np.float64)
-        self.origins = np.asarray(self.origins)
         if self.predicted.ndim != 2 or self.predicted.shape != self.actual.shape:
             raise ValueError(
                 f"predicted {self.predicted.shape} and actual {self.actual.shape} "
                 f"must be equal 2-D shapes")
         n = self.predicted.shape[0]
-        if self.last_inputs.shape != (n,) or self.origins.shape != (n,):
-            raise ValueError("last_inputs and origins must have one entry per origin")
-        if n > 1 and not (np.diff(self.origins) == 1).all():
-            raise ValueError("origins must be consecutive")
+        if self.last_inputs.shape != (n,):
+            raise ValueError("last_inputs must have one entry per origin")
 
     def __len__(self) -> int:
         return self.predicted.shape[0]
@@ -127,8 +123,7 @@ def evaluate(forecaster, series: Series, spec: PartitionSpec,
         predicted = denormalize(predicted, bounds)
         actual = denormalize(actual, bounds)
         last_inputs = denormalize(last_inputs, bounds)
-    fs = ForecastSet(predicted=predicted, actual=actual, last_inputs=last_inputs,
-                     origins=ds.origins)
+    fs = ForecastSet(predicted=predicted, actual=actual, last_inputs=last_inputs)
     return fs, rmse(fs), directional_accuracy(fs)
 
 

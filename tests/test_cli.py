@@ -143,6 +143,34 @@ class TestConfig:
         generated = {p for kind in GENERATORS for p in GENERATOR_PARAMS[kind]}
         assert sorted(flagged) == sorted(generated)
 
+    @pytest.mark.parametrize("models, gates", [(["gru"], 3), (["lstm", "gru", "baseline"], 4)])
+    def test_network_larger_than_memory_refused(self, monkeypatch, models, gates):
+        # Parameters, gradients and Adam's moments of the largest network,
+        # plus one batch's yielded steps; estimated, never allocated.
+        cfg = ExperimentConfig(models=models, units=5, window=7, batch_size=3,
+                               horizons=[1, 4], test_len=10)
+        need = 32 * (gates * (5 * 5 + 2 * 5) + 4 * 5 + 4) + 8 * 7 * 3 * 5 * 7
+        for memory in (need, need - 1):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+            monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+            if memory < need:
+                with pytest.raises(ConfigError, match="units=5 needs about"):
+                    cfg.validate()
+            else:
+                cfg.validate()
+
+    def test_memory_check_skipped_for_baseline_or_unknown_memory(self, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}  # 1 GiB
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        with pytest.raises(ConfigError, match="units=30000 needs about"):
+            ExperimentConfig(units=30000).validate()
+        ExperimentConfig(units=30000, models=["baseline"]).validate()
+
+        def unreported(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+        monkeypatch.setattr(cli.os, "sysconf", unreported)
+        ExperimentConfig(units=30000).validate()
+
     def test_data_and_dataset_flags_conflict(self):
         args = build_parser().parse_args(
             ["train", "--data", "x.csv", "--dataset", "activities"])
@@ -783,6 +811,24 @@ class TestMainEntry:
         assert done.returncode == 2
         assert done.stderr == (f"error: /dev/zero line 1: longer than {MAX_LINE_CHARS} "
                                f"characters\n")
+
+    def test_units_that_cannot_fit_exit_2_before_any_write(self, tmp_path):
+        # The address-space limit is set in the child only: without the
+        # estimate, the first weight draw ends in a MemoryError there.
+        code = ("import resource, sys\n"
+                "from rnncast.cli import main\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run", "--units", "30000",
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: units=30000 needs about ")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("module", ["rnncast", "rnncast.cli"])
     def test_python_dash_m_runs_the_command_line(self, tmp_path, module):

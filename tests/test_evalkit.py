@@ -22,8 +22,7 @@ def make_set(predicted, actual, last_inputs):
     predicted = np.atleast_2d(np.asarray(predicted, dtype=float))
     actual = np.atleast_2d(np.asarray(actual, dtype=float))
     return ForecastSet(predicted=predicted, actual=actual,
-                       last_inputs=np.asarray(last_inputs, dtype=float),
-                       origins=np.arange(predicted.shape[0]))
+                       last_inputs=np.asarray(last_inputs, dtype=float))
 
 
 class TestBaseline:
@@ -68,7 +67,7 @@ class TestRmse:
 
     def test_empty_set_rejected(self):
         fs = ForecastSet(predicted=np.zeros((0, 2)), actual=np.zeros((0, 2)),
-                         last_inputs=np.zeros(0), origins=np.zeros(0, dtype=int))
+                         last_inputs=np.zeros(0))
         with pytest.raises(ValueError, match="empty"):
             rmse(fs)
 
@@ -180,7 +179,8 @@ class TestEvaluate:
         spec = PartitionSpec(window=4, horizon=3, test_len=17)
         fs, _, _ = evaluate(PersistenceBaseline(4, 3), s, spec)
         assert len(fs) == 17 - 3 + 1
-        assert fs.origins[0] == 100 - 17 - 4
+        # The first window ends one sample before the 17-sample test region.
+        assert fs.last_inputs[0] == 100 - 17 - 1
         # Last target must end exactly at the series' final sample.
         assert fs.actual[-1, -1] == 99.0
 

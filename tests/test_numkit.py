@@ -1,4 +1,5 @@
 import hashlib
+import math
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,28 @@ import pytest
 
 from rnncast.dataprep import gen_activities, gen_random_walk
 from rnncast.numkit import Rng
+
+_U64_MASK = (1 << 64) - 1
+
+
+def next_u64(rng: Rng) -> int:
+    """The scalar SplitMix64 step on `rng`'s state, one output per call: the
+    oracle that the package's vector stream is checked against."""
+    rng._state = (rng._state + 0x9E3779B97F4A7C15) & _U64_MASK
+    z = rng._state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
+    return z ^ (z >> 31)
+
+
+def next_float(rng: Rng) -> float:
+    """Uniform draw in [0, 1) with 53 bits of precision, from the oracle."""
+    return (next_u64(rng) >> 11) * (1.0 / (1 << 53))
+
+
+def below(rng: Rng, n: int) -> int:
+    """Integer in [0, n) from the oracle, via the multiply-high reduction."""
+    return (next_u64(rng) * n) >> 64
 
 
 class TestRng:
@@ -24,8 +47,8 @@ class TestRng:
         npt.assert_array_equal(b.uniform(0, 1, 3, 3), m2)
 
     def test_u64_stream_bit_identical(self):
-        s1 = [Rng(987654321).next_u64() for _ in range(1000)]
-        s2 = [Rng(987654321).next_u64() for _ in range(1000)]
+        s1 = Rng(987654321)._next_u64s(1000).tolist()
+        s2 = Rng(987654321)._next_u64s(1000).tolist()
         assert s1 == s2
 
     def test_uniform_sample_mean(self):
@@ -61,7 +84,7 @@ def _stream_digest(draws) -> str:
     for rng, arrays in draws:
         for a in arrays:
             h.update(a.dtype.str.encode() + a.tobytes())
-        h.update(rng.next_u64().to_bytes(8, "little"))
+        h.update(next_u64(rng).to_bytes(8, "little"))
     return h.hexdigest()
 
 
@@ -126,11 +149,32 @@ class TestVectorStream:
         vector, scalar = Rng(seed), Rng(seed)
         draws = vector._next_u64s(n)
         assert draws.dtype == np.uint64
-        assert draws.tolist() == [scalar.next_u64() for _ in range(n)]
-        assert vector.next_u64() == scalar.next_u64()
+        assert draws.tolist() == [next_u64(scalar) for _ in range(n)]
+        assert next_u64(vector) == next_u64(scalar)
 
         lo, hi = -0.25, 0.75
         got = vector.uniform(lo, hi, *shape)
-        want = np.array([lo + (hi - lo) * scalar.next_float() for _ in range(n)])
+        want = np.array([lo + (hi - lo) * next_float(scalar) for _ in range(n)])
         assert got.shape == shape and got.tobytes() == want.tobytes()
-        assert vector.next_u64() == scalar.next_u64()
+        assert next_u64(vector) == next_u64(scalar)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 790, 1001, 2914])
+    def test_permutation_and_normal_match_the_per_draw_loops(self, n):
+        vector, scalar = Rng(n), Rng(n)
+        want = np.arange(n)  # Fisher-Yates, one oracle draw per swap
+        for i in range(n - 1, 0, -1):
+            j = below(scalar, i + 1)
+            want[i], want[j] = want[j], want[i]
+        got = vector.permutation(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert next_u64(vector) == next_u64(scalar)
+
+        pairs = []  # Box-Muller, two oracle draws per pair
+        for _ in range(0, n, 2):
+            radius = math.sqrt(-2.0 * math.log(1.0 - next_float(scalar)))
+            angle = 2.0 * math.pi * next_float(scalar)
+            pairs += (radius * math.cos(angle), radius * math.sin(angle))
+        want = 2.0 + 3.0 * np.array(pairs[:n])
+        got = vector.normal(n, 2.0, 3.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert next_u64(vector) == next_u64(scalar)
