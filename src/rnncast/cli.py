@@ -26,11 +26,11 @@ runs `_score_pair`, which loads a checkpoint once and returns the texts of
 each series' score row (`reports`) and plot files (`plots`), written after
 the last score: `plot` charts only, and `run` does both, timed as one.
 
-Both stages map their pair function with what `_pair_map` yields: min(network
-pairs, usable CPUs) workers that each run BLAS on one thread, forked from a
-one-thread parent and else spawned (the manifest's `start_method`), or
-in-process with one. `run` opens one pool for both stages, so the parent
-never holds a trained network; `evaluate` and `plot` score in-process.
+Every command but `generate` maps its pair function through one `_pair_map`:
+min(network pairs, usable CPUs) workers that each run BLAS on one thread,
+forked from a one-thread parent and else spawned (the manifest's
+`start_method`), or in-process with one. `run` opens one pool for both
+stages, so the parent never holds a trained network.
 Artifacts are byte-identical to a sequential run, but the progress lines of
 different pairs may interleave. A script that calls `main` must do so under
 the `__main__` check, because each spawned worker imports its main module.
@@ -40,9 +40,10 @@ a flag whose parameter the chosen generator does not take is an error.
 
 Exit codes: 0 success, 2 usage/config/data error, 3 numeric failure during
 training, 4 a worker process died (killed, say, by the OS when out of
-memory): "a training worker died", or "a scoring worker died" in `run`'s
-evaluate stage; a run that stops on an error writes no manifest.json,
-though pairs that finished training keep their files.
+memory): "a training worker died" while training, else "a scoring worker
+died"; a MemoryError exits 2. `train`, `evaluate`, `plot` and `run` remove an
+earlier manifest.json before their first write; a run that stops on an error
+writes none, though pairs that finished training keep their files.
 """
 
 from __future__ import annotations
@@ -394,6 +395,7 @@ def stage_train(config: ExperimentConfig, sources: list[Series], quiet: bool,
     """Train every network pair through `pair_map`, which `_pair_map` made
     with `pool`; each pair writes its own files as it finishes."""
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    (Path(config.out_dir) / "manifest.json").unlink(missing_ok=True)  # as in stage_evaluate
     pairs = _network_pairs(config)
     results = pair_map(_train_pair, pairs, repeat(sources[config.train_series_index]),
                        repeat(config), repeat(quiet))
@@ -431,21 +433,21 @@ def _score_pair(pair: tuple[str, int], series: list[Series], sources: list[Serie
     """Forecast every series with the `pair` = (model, horizon) forecaster,
     loaded once; returns its report (None without `reports`) and its files
     as {file name: text}: a chart per series with `plots`, then the report's
-    CSV and text with `reports`. One forecast set is held at a time.
+    CSV and text with `reports`. Forecasts are in the configured report
+    units. One forecast set is held at a time.
 
     Module-level so that a worker can run it; it writes nothing.
     """
     model, horizon = pair
     forecaster = _forecaster_for(config, model, horizon)
-    raw_units = reports and config.report_units == "raw"
+    normalized = config.report_units != "raw"
     spec = PartitionSpec(config.window, horizon, config.test_len)
     rows, files = [], {}
     for raw, source in zip(series, sources):
-        forecasts, r, d = evaluate(forecaster, source, spec, normalized=not raw_units)
+        forecasts, r, d = evaluate(forecaster, source, spec, normalized)
         rows.append(SeriesResult(raw.name, r, d))
         if plots:
-            files.update(_plot_one(config, raw, source, forecasts, raw_units,
-                                   model, horizon))
+            files.update(_plot_one(config, raw, source, forecasts, model, horizon))
     if not reports:
         return None, files
     report = aggregate(rows, model=model, horizon=horizon)
@@ -456,15 +458,12 @@ def _score_pair(pair: tuple[str, int], series: list[Series], sources: list[Serie
 
 
 def stage_evaluate(config: ExperimentConfig, series: list[Series],
-                   sources: list[Series], quiet: bool, pair_map=map,
+                   sources: list[Series], quiet: bool, pair_map,
                    reports: bool = True, plots: bool = False) -> dict:
     """The one forecast stage: `_score_pair` for every (model, horizon)
     pair through `pair_map`, which gives each pair's score rows, with
     `reports`, and charts, with `plots`. Files are written in one loop
     after the last score, so a refused stage leaves the directory as it was.
-
-    Scores are in the configured report units; a pass that writes no
-    reports forecasts in normalized units.
     """
     pairs = [(model, horizon) for model in config.models for horizon in config.horizons]
     files = {}  # file name -> text, in creation order
@@ -490,6 +489,7 @@ def stage_evaluate(config: ExperimentConfig, series: list[Series],
         artifacts["reports"] = report_files
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)  # a manifest marks a finished run
     for file, text in files.items():
         (out / file).write_text(text, encoding="utf-8")
     if plots:
@@ -499,14 +499,14 @@ def stage_evaluate(config: ExperimentConfig, series: list[Series],
 
 
 def _plot_one(config: ExperimentConfig, series: Series, source: Series,
-              forecasts: ForecastSet, raw_units: bool, model: str,
-              horizon: int) -> dict[str, str]:
+              forecasts: ForecastSet, model: str, horizon: int) -> dict[str, str]:
     """{svg name: svg, csv name: csv} charting `forecasts`, made from `source`
-    (the normalized `series`), raw if `raw_units`, against the actual test values."""
+    (the normalized `series`) in the configured report units, against the
+    actual test values."""
     # Plot in raw units when the series has a real range, else as-is.
     if source.raw_max > source.raw_min:
         bounds = (source.raw_min, source.raw_max)
-        predicted = (forecasts.predicted if raw_units
+        predicted = (forecasts.predicted if config.report_units == "raw"
                      else denormalize(forecasts.predicted, bounds))
         actual_all = series.values
     else:
@@ -546,9 +546,10 @@ def _plot_one(config: ExperimentConfig, series: Series, source: Series,
 
 
 def stage_plot(config: ExperimentConfig, series: list[Series],
-               sources: list[Series], quiet: bool) -> dict:
+               sources: list[Series], quiet: bool, pair_map) -> dict:
     """Chart every (model, horizon) pair's forecast of every series."""
-    return stage_evaluate(config, series, sources, quiet, reports=False, plots=True)
+    return stage_evaluate(config, series, sources, quiet, pair_map, reports=False,
+                          plots=True)
 
 
 @contextmanager
@@ -557,7 +558,7 @@ def _run_stage(name: str, timings: dict):
     t0 = time.perf_counter()
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # One type for every data error: some, such as
         # UnicodeDecodeError, cannot be rebuilt from a message.
         raise ConfigError(f"{name} stage failed: {exc}") from exc
@@ -729,18 +730,18 @@ def main(argv=None) -> int:
             stage_run(config, args.quiet)
             return 0
         series, sources = _load(config)
-        if args.command == "train":
-            with _pair_map(config) as (pair_map, pool):
+        with _pair_map(config) as (pair_map, pool):
+            if args.command == "train":
                 stage_train(config, sources, args.quiet, pair_map, pool)
-        elif args.command == "evaluate":
-            stage_evaluate(config, series, sources, args.quiet)
-        else:
-            stage_plot(config, series, sources, args.quiet)
+            elif args.command == "evaluate":
+                stage_evaluate(config, series, sources, args.quiet, pair_map)
+            else:
+                stage_plot(config, series, sources, args.quiet, pair_map)
         return 0
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # ConfigError and ParseError too
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError and ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
@@ -749,7 +750,7 @@ def main(argv=None) -> int:
         from concurrent.futures.process import BrokenProcessPool
         if not isinstance(exc, BrokenProcessPool):
             raise
-        work = "scoring" if getattr(exc, "stage", None) == "evaluate" else "training"
+        work = "training" if getattr(exc, "stage", args.command) == "train" else "scoring"
         print(f"error: a {work} worker died ({exc})", file=sys.stderr)
         return 4
 

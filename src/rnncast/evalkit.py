@@ -55,10 +55,6 @@ class ForecastSet:
     def __len__(self) -> int:
         return self.predicted.shape[0]
 
-    @property
-    def horizon(self) -> int:
-        return self.predicted.shape[1]
-
 
 class PersistenceBaseline:
     """Repeats the last observed value across the whole horizon."""

@@ -224,7 +224,7 @@ def _sgn(x):
 def _flat_rmse(fs):
     total, count = 0.0, 0
     for i in range(len(fs)):
-        for k in range(fs.horizon):
+        for k in range(fs.predicted.shape[1]):
             total += (fs.predicted[i, k] - fs.actual[i, k]) ** 2
             count += 1
     return math.sqrt(total / count)
@@ -234,7 +234,7 @@ def _flat_da(fs):
     hits, count = 0, 0
     for i in range(len(fs)):
         ref = fs.last_inputs[i]
-        for k in range(fs.horizon):
+        for k in range(fs.predicted.shape[1]):
             if _sgn(fs.predicted[i, k] - ref) == _sgn(fs.actual[i, k] - ref):
                 hits += 1
             count += 1

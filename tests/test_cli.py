@@ -7,6 +7,7 @@ evaluate/plot/manifest tests inspect, so the pipeline only trains once.
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -40,6 +41,10 @@ def run_dir(tmp_path_factory):
     rc = main(["run", *DESK_FLAGS, "--out", str(out), "--quiet"])
     assert rc == 0
     return out
+
+
+def _digests(out) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
 class TestConfig:
@@ -334,6 +339,29 @@ class TestTrain:
             "gru_f1.tsfc", "gru_f3.tsfc", "lstm_f1.tsfc", "lstm_f3.tsfc"]
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command, work", [
+        ("train", "training"), ("evaluate", "scoring"), ("plot", "scoring")])
+    def test_dead_worker_of_a_standalone_command_exits_4_with_one_line(
+            self, run_dir, tmp_path, monkeypatch, capsys, command, work):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        def dies(*args, **kwargs):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        before = _digests(out)
+        monkeypatch.setattr(cli, "_worker_count", lambda pairs: 2)
+        monkeypatch.setattr(ProcessPoolExecutor, "map", dies)  # the pool path of _pair_map
+        rc = main([command, *DESK_FLAGS, "--out", str(out), "--quiet"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a {work} worker died (") and err.count("\n") == 1
+        if command == "train":  # which removes the finished run's manifest first
+            del before["manifest.json"]
+        assert _digests(out) == before
+
 
 class TestEvaluate:
     def test_reports_written_per_pair(self, run_dir):
@@ -442,18 +470,14 @@ class TestEvaluate:
                      "--out", str(out)]) == 0
         return out
 
-    @staticmethod
-    def digests(out) -> dict:
-        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-
     def test_refused_evaluate_leaves_the_directory_as_it_was(self, retrained_lstm, capsys):
         (retrained_lstm / "gru_f1.tsfc").unlink()
-        before = self.digests(retrained_lstm)
+        before = _digests(retrained_lstm)
         rc = main(["evaluate", *self.SMALL_FLAGS, "--seed", "2", "--models", "lstm,gru",
                    "--out", str(retrained_lstm)])
         assert rc == 2
         assert "no checkpoint for gru at horizon 1" in capsys.readouterr().err
-        assert self.digests(retrained_lstm) == before
+        assert _digests(retrained_lstm) == before
 
     def test_non_finite_forecast_leaves_the_directory_as_it_was(self, retrained_lstm,
                                                                  capsys):
@@ -461,12 +485,12 @@ class TestEvaluate:
         checkpoint = load_checkpoint(path)
         checkpoint.model.params["b_out"][:] = np.inf
         save_checkpoint(checkpoint, path)
-        before = self.digests(retrained_lstm)
+        before = _digests(retrained_lstm)
         rc = main(["evaluate", *self.SMALL_FLAGS, "--seed", "2", "--models", "lstm,gru",
                    "--out", str(retrained_lstm)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: ")
-        assert self.digests(retrained_lstm) == before
+        assert _digests(retrained_lstm) == before
 
 
 class TestPlot:
@@ -674,10 +698,53 @@ class TestRun:
         assert {p.name: p.read_bytes() for p in finished_run.iterdir()} == before
 
     def test_evaluate_after_train_reuses_checkpoints(self, run_dir, tmp_path):
-        # Re-running evaluate alone against the same out dir must succeed
-        # using the checkpoints already on disk.
-        rc = main(["evaluate", *DESK_FLAGS, "--out", str(run_dir), "--quiet"])
+        # Re-running evaluate alone against a copy of the run's directory
+        # must succeed using the checkpoints already on disk.
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        rc = main(["evaluate", *DESK_FLAGS, "--out", str(out), "--quiet"])
         assert rc == 0
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "plot"])
+    def test_command_into_a_finished_run_removes_its_manifest(self, finished_run, command):
+        assert main([command, *self.RERUN_FLAGS, "--seed", "1",
+                     "--out", str(finished_run)]) == 0
+        assert not (finished_run / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "plot"])
+    def test_refused_scoring_leaves_the_finished_run(self, finished_run, capsys, command):
+        before = _digests(finished_run)
+        rc = main([command, *self.RERUN_FLAGS, "--seed", "1", "--models", "lstm,gru",
+                   "--out", str(finished_run)])
+        assert rc == 2
+        assert "no checkpoint for gru at horizon 1" in capsys.readouterr().err
+        assert _digests(finished_run) == before  # the manifest too
+
+    UNIT_FLAGS = {"normalized": [], "raw": ["--report-units", "raw", "--fit-bounds-on-train"]}
+
+    @pytest.fixture(scope="class")
+    def unit_runs(self, tmp_path_factory):
+        """A desk `run` in each unit setting, which the standalone commands
+        must reproduce."""
+        outs = {}
+        for units, flags in self.UNIT_FLAGS.items():
+            outs[units] = tmp_path_factory.mktemp(f"run_{units}")
+            assert main(["run", *DESK_FLAGS, *flags, "--out", str(outs[units]),
+                         "--quiet"]) == 0
+        return outs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("units", ["normalized", "raw"])
+    def test_train_evaluate_plot_write_the_run_bytes(self, unit_runs, tmp_path,
+                                                     monkeypatch, units, workers):
+        monkeypatch.setattr(cli, "_worker_count", lambda pairs: min(pairs, workers))
+        out = tmp_path / "out"
+        for command in ("train", "evaluate", "plot"):
+            assert main([command, *DESK_FLAGS, *self.UNIT_FLAGS[units], "--out", str(out),
+                         "--quiet"]) == 0
+        expected = _digests(unit_runs[units])
+        del expected["manifest.json"], expected["dataset.csv"]  # written by `run` alone
+        assert _digests(out) == expected
 
 
 class TestStartMethod:
@@ -829,6 +896,31 @@ class TestMainEntry:
         assert done.stderr.startswith("error: units=30000 needs about ")
         assert done.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("models", ["lstm", "lstm,gru"])
+    def test_network_past_the_address_space_limit_exits_2_with_one_line(self, tmp_path,
+                                                                         models):
+        # The address-space limit is set in the child only. units=3000 passes
+        # the estimate against physical memory, so its first large allocation
+        # fails: in the parent with one pair, in a worker with two.
+        code = ("import resource, sys\n"
+                "from rnncast import cli\n"
+                "cli._worker_count = lambda pairs: pairs\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run", "--dataset", "activities", "--length", "320",
+             "--series", "2", "--window", "10", "--test-len", "50", "--epochs", "1",
+             "--units", "3000", "--models", models, "--horizons", "1",
+             "--out", str(out), "--quiet"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: train stage failed: Unable to allocate ")
+        assert done.stderr.count("\n") == 1
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("module", ["rnncast", "rnncast.cli"])
     def test_python_dash_m_runs_the_command_line(self, tmp_path, module):
