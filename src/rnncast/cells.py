@@ -27,15 +27,20 @@ stack of windows (batch, window); one window is `window[None, :]`. A model's
 parameters are one name -> array dict in `tensor_shapes` order, and
 `backward_batch` returns the MSE loss and the exact mean of per-sample
 gradients as a new dict under the same names. Each cell's equations exist
-once in a step generator serving both, and once more, differentiated, in its
-backward pass, which reads the generator's arrays uncopied. Both stack a
-gate group's tensors gate-major per call: one product and one activation
-call per group, with the bits of separate per-gate products.
+once in a step function serving both, and once more, differentiated, in its
+backward pass, which reads the step's arrays uncopied. Both stack a gate
+group's tensors gate-major: one product and one activation call per group,
+with the bits of separate per-gate products. Both run in blocks of steps:
+x * w, the backward's activation factors and the dw, db terms take one call
+per block, in the step loop's order of operations, so no bit changes. The
+sigmoid gates' w, u and b are negated once per batch, which negates their
+pre-activations exactly, so their sigmoid is exp, +1 and a divide. A model
+keeps its step arrays and block buffers for the next batch of its shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +76,7 @@ class ModelState:
     kind: str
     params: dict[str, np.ndarray]
     window: int
+    _storage: _Storage | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tensor_shapes(self.kind, 0, 0).keys()
@@ -106,9 +112,7 @@ class ModelState:
         if xs.ndim != 2 or xs.shape[1] != self.window:
             raise ShapeError(
                 f"forecast: expected inputs of shape (n, {self.window}), got {xs.shape}")
-        for step in _STEPS[self.kind](self.params, xs):
-            h = step[-1]
-            del step  # frees this step's gates while the next one is computed
+        h = _forward(self, xs, train=False).h[0]
         preds = h @ self.params["w_out"].T + self.params["b_out"]
         if not np.isfinite(preds).all():
             raise NumericError("forecast: non-finite prediction")
@@ -131,137 +135,194 @@ def init_model(kind: str, units: int, window: int, horizon: int, rng: Rng) -> Mo
     return ModelState(kind, params, window)
 
 
-# ---------------------------------------------------------------------------
-# Step generators and BPTT. Shapes: xs (B, T); states (B, U); a gate group is
-# one (G, B, U) block. `p` is the model's name -> array dict; `_pack` stacks
-# its gate tensors per call, and `np.matmul` runs one GEMM per gate on the
-# operands of a per-gate `h @ u.T`, which keeps every bit.
-# ---------------------------------------------------------------------------
+# The forward and BPTT. Shapes: xs (B, T); states (B, U); a gate group is one
+# (G, B, U) block, whose `np.matmul` runs one GEMM per gate, as `h @ u.T` would.
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    """a <- 1 / (1 + exp(-a)), in place, returning a: exactly 0.0, with no
-    warning, where exp(-a) overflows."""
+BLOCK_BYTES = 1 << 20  # a block: as many steps as fit a (k, G, B, U) array
+
+
+class _Storage:
+    """The arrays a model reuses for every batch of one (B, T) shape, and the
+    views of them each step reads. Step arrays: gates (S, G, B, U); h
+    (S + 1, B, U), slot 0 the zero initial state, slot t + 1 step t's; aux
+    (2, S + 1, B, U), the LSTM's c (slots as h) and tanh(c), or the GRU's
+    r * h_{t-1} and 1 - z. Training keeps S = T steps; forecasting S = k, one
+    block's, carrying the state into slot 0. Per batch: w, u, b stacked, the
+    sigmoid gates' negated, and b broadcast to `bias`. Per block: blk holds
+    x * w, then the gate deltas; fac the backward's activation factors; tw,
+    tb the dw, db terms after the accumulator in slot 0."""
+
+    def __init__(self, kind: str, B: int, U: int, T: int, train: bool):
+        G, e = len(GATES[kind]), np.empty
+        self.key, self.k = (B, T, train), min(T, max(1, BLOCK_BYTES // (8 * G * B * U)))
+        S, k = (T if train else self.k), self.k
+        self.w, self.u, self.b, self.bias = e((G, U)), e((G, U, U)), e((G, U)), e((G, B, U))
+        self.gates, self.h, self.aux = e((S, G, B, U)), e((S + 1, B, U)), e((2, S + 1, B, U))
+        self.blk, self.tw, self.tb = e((k, G, B, U)), e((k + 1, G, 1, U)), e((k + 1, G, U))
+        self.fac, self.tmp = e((k, G + 1) + ((B, U) if train else (0, 0))), e((B, U))
+        self.carry = (self.h, self.aux[0]) if kind == "lstm" else (self.h,)
+        self.fwd, self.bwd = zip(*(_CELLS[kind][0](self, t) for t in range(S)))
+
+
+def _sigmoid(s: np.ndarray) -> np.ndarray:
+    """s <- 1 / (1 + exp(s)) in place, returning s: the sigmoid of -s; exactly
+    0.0 where exp(s) overflows, under the caller's np.errstate(over="ignore")."""
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def _lstm_views(st: _Storage, t: int) -> tuple:
+    """The arguments of step t's `_lstm_step`, and the views its BPTT reads."""
+    s, h, (c, tc), da, fac = st.gates[t], st.h, st.aux, st.blk[t % st.k], st.fac[t % st.k]
+    return ((s, s[:3], *s, c[t], c[t + 1], tc[t], h[t], h[t + 1], da, st.u.transpose(0, 2, 1),
+             st.bias, st.tmp),
+            (s[:3], *s, c[t], tc[t], h[t], da, da.transpose(0, 2, 1), da[:3], *da, fac[:3],
+             *fac[3:]))
+
+
+def _lstm_step(s, sig, i, f, o, g, c0, c1, tc, h0, h1, xw, uT, bias, tmp) -> None:
+    """One step from state h0, c0 to h1, c1: gates s = i, f, o, g, with i,
+    f, o from their negated pre-activations."""
+    np.matmul(h0, uT, out=s)
+    s += xw
+    s += bias
+    _sigmoid(sig)
+    np.tanh(g, out=g)
+    np.multiply(f, c0, out=c1)
+    c1 += np.multiply(i, g, out=tmp)
+    np.tanh(c1, out=tc)
+    np.multiply(o, tc, out=h1)
+
+
+def _lstm_backward(xs: np.ndarray, dh: np.ndarray, st: _Storage, u: np.ndarray,
+                   dw: np.ndarray, du: np.ndarray, db: np.ndarray) -> None:
+    """Add the BPTT gradients of dh (loss w.r.t. the final h) to dw, du, db."""
+    T, k, dc = xs.shape[1], st.k, np.zeros_like(dh)
+    for t0 in range((T - 1) // k * k, -1, -k):
+        t1 = min(t0 + k, T)
+        s, tc, fac = st.gates[t0:t1], st.aux[1, t0:t1], st.fac[:t1 - t0]
+        np.subtract(1.0, s[:, :3], out=fac[:, :3])
+        np.subtract(1.0, np.multiply(tc, tc, out=fac[:, 3]), out=fac[:, 3])
+        np.subtract(1.0, np.multiply(s[:, 3], s[:, 3], out=fac[:, 4]), out=fac[:, 4])
+        for t in range(t1 - 1, t0 - 1, -1):
+            sig, i, f, o, g, c0, tc, h0, da, daT, dsig, d0, d1, d2, d3, oms, dtc, dg = st.bwd[t]
+            dc += dh * o * dtc
+            np.multiply(dc, g, out=d0)
+            np.multiply(dc, c0, out=d1)
+            np.multiply(dh, tc, out=d2)
+            dsig *= sig
+            dsig *= oms
+            np.multiply(dc, i, out=d3)
+            d3 *= dg
+            du += np.matmul(daT, h0)
+            dh = np.matmul(da, u).sum(axis=0)
+            dc *= f
+        _fold(st, xs, t0, t1, dw, db)
+
+
+def _gru_views(st: _Storage, t: int) -> tuple:
+    """The arguments of step t's `_gru_step`, and the views its BPTT reads."""
+    s, h, (rh, omz), da, fac = st.gates[t], st.h, st.aux, st.blk[t % st.k], st.fac[t % st.k]
+    uT = st.u.transpose(0, 2, 1)
+    return ((s[:2], *s, h[t], h[t + 1], rh[t], omz[t], da[:2], da[2], uT[:2], uT[2],
+             st.bias[:2], st.bias[2], st.tmp),
+            (s[:2], *s[:2], h[t], rh[t], omz[t], da[:2], da[:2].transpose(0, 2, 1), *da,
+             da[2].T, fac[:2], *fac[2:]))
+
+
+def _gru_step(zr, z, r, n, h0, h1, rh, omz, xw_zr, xw_n, uT_zr, uT_n, b_zr, b_n, tmp) -> None:
+    """One step from state h0 to h1: gates z, r, n, with z, r from their
+    negated pre-activations; rh = r * h0 and omz = 1 - z."""
+    np.matmul(h0, uT_zr, out=zr)
+    zr += xw_zr
+    zr += b_zr
+    _sigmoid(zr)
+    np.multiply(r, h0, out=rh)
+    np.matmul(rh, uT_n, out=n)
+    n += xw_n
+    n += b_n
+    np.tanh(n, out=n)
+    np.subtract(1.0, z, out=omz)
+    np.multiply(omz, n, out=h1)
+    h1 += np.multiply(z, h0, out=tmp)
+
+
+def _gru_backward(xs: np.ndarray, dh: np.ndarray, st: _Storage, u: np.ndarray,
+                  dw: np.ndarray, du: np.ndarray, db: np.ndarray) -> None:
+    """Add the BPTT gradients of dh (loss w.r.t. the final h) to dw, du, db."""
+    T, k = xs.shape[1], st.k
+    for t0 in range((T - 1) // k * k, -1, -k):
+        t1 = min(t0 + k, T)
+        s, fac = st.gates[t0:t1], st.fac[:t1 - t0]
+        np.subtract(1.0, s[:, :2], out=fac[:, :2])
+        np.subtract(1.0, np.multiply(s[:, 2], s[:, 2], out=fac[:, 2]), out=fac[:, 2])
+        np.subtract(st.h[t0:t1], s[:, 2], out=fac[:, 3])
+        for t in range(t1 - 1, t0 - 1, -1):
+            sig, z, r, h0, rh, omz, dsig, dsigT, d0, d1, d2, d2T, oms, dn, hmn = st.bwd[t]
+            np.multiply(dh, omz, out=d2)
+            d2 *= dn
+            drh = d2 @ u[2]
+            np.multiply(dh, hmn, out=d0)
+            np.multiply(drh, h0, out=d1)
+            dsig *= sig
+            dsig *= oms
+            du[:2] += np.matmul(dsigT, h0)
+            du[2] += d2T @ rh  # n acts on r * h
+            dh_zr = np.matmul(dsig, u[:2])
+            dh = dh * z + drh * r + dh_zr[0] + dh_zr[1]
+        _fold(st, xs, t0, t1, dw, db)
+
+
+_CELLS = {"lstm": (_lstm_views, _lstm_step, _lstm_backward),
+          "gru": (_gru_views, _gru_step, _gru_backward)}
+
+
+def _forward(state: ModelState, xs: np.ndarray, train: bool) -> _Storage:
+    """Run `state`'s cell over xs (B, T) from zero state into the storage it
+    keeps for this batch shape, and return that storage."""
+    (B, T), gates, step = xs.shape, GATES[state.kind], _CELLS[state.kind][1]
+    if getattr(state._storage, "key", None) != (B, T, train):
+        state._storage = None  # frees the last shape's arrays before the new ones are made
+        state._storage = _Storage(state.kind, B, state.units, T, train)
+    st = state._storage
+    for t, a in zip("wub", (st.w, st.u, st.b)):
+        np.stack([state.params[f"{t}_{g}"] for g in gates], out=a)
+        np.negative(a[:-1], out=a[:-1])  # the sigmoid gates, all but the last
+    st.bias[...] = st.b[:, None]
+    for a in st.carry:
+        a[0] = 0.0
     with np.errstate(over="ignore"):
-        np.exp(np.negative(a, out=a), out=a)
-        a += 1.0
-        return np.divide(1.0, a, out=a)
+        for t0 in range(0, T, st.k):
+            n, o = min(st.k, T - t0), (t0 if train else 0)
+            np.multiply(xs.T[t0:t0 + n, None, :, None], st.w[:, None], out=st.blk[:n])
+            for args in st.fwd[o:o + n]:
+                step(*args)
+            for a in () if train else st.carry:
+                a[0] = a[n]
+    return st
 
 
-def _pack(p: dict, gates: str) -> tuple:
-    """w (G, 1, U), u (G, U, U) and b (G, 1, U) of `gates`, stacked in that order."""
-    w, u, b = (np.stack([p[f"{t}_{g}"] for g in gates]) for t in "wub")
-    return w[:, None], u, b[:, None]
+def _fold(st: _Storage, xs: np.ndarray, t0: int, t1: int, dw, db) -> None:
+    """Add the block's dw and db terms for t = t1-1 .. t0 to dw and db in
+    that order: each term as the step loop computed it, then one reduction
+    over the outer axis, which numpy sums sequentially from the accumulator."""
+    n, tw, tb, da = t1 - t0, st.tw, st.tb, st.blk[:t1 - t0][::-1]
+    np.matmul(xs.T[t0:t1][::-1, None, None], da, out=tw[1:n + 1])
+    np.sum(da, axis=2, out=tb[1:n + 1])
+    for acc, terms in ((dw, tw), (db, tb)):
+        terms[0] = acc
+        np.add.reduce(terms[:n + 1], axis=0, out=acc)
 
 
-def _gate_block(h, u, x, w, b, xw) -> np.ndarray:
-    """New (G, B, U) block h @ u.T + x * w + b; `xw` is a reused buffer for x * w."""
-    a = np.matmul(h, u.transpose(0, 2, 1))
-    a += np.multiply(x, w, out=xw)
-    a += b
-    return a
-
-
-def _lstm_steps(p: dict, xs: np.ndarray):
-    """Yield (gates, tanh_c, c, h) for each step, from zero state; gates is
-    the (4, B, U) block of i, f, o, g. Every yielded array is new and never
-    written again."""
-    w, u, b = _pack(p, "ifog")
-    xw = np.empty((4, len(xs), u.shape[1]))
-    h = c = np.zeros(xw.shape[1:])
-    for t in range(xs.shape[1]):
-        s = _gate_block(h, u, xs[:, t:t + 1], w, b, xw)
-        _sigmoid(s[:3])
-        np.tanh(s[3], out=s[3])
-        i, f, o, g = s
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        yield s, tc, c, h
-        del s, tc, i, f, o, g  # frees this step's block while the next is computed
-
-
-def _gru_steps(p: dict, xs: np.ndarray):
-    """Yield (gates, n, rh, h) for each step, from zero state; gates is the
-    (2, B, U) block of z, r, and rh = r_t * h_{t-1}. Every yielded array is
-    new and never written again."""
-    w, u, b = _pack(p, "zr")
-    xw = np.empty((2, len(xs), u.shape[1]))
-    h = np.zeros(xw.shape[1:])
-    for t in range(xs.shape[1]):
-        x = xs[:, t:t + 1]
-        s = _gate_block(h, u, x, w, b, xw)
-        z, r = _sigmoid(s)
-        rh = r * h
-        n = np.tanh(x * p["w_n"] + rh @ p["u_n"].T + p["b_n"])
-        h = (1.0 - z) * n + z * h
-        yield s, n, rh, h
-        del s, z, r  # frees this step's block while the next is computed
-
-
-_STEPS = {"lstm": _lstm_steps, "gru": _gru_steps}
-
-
-def _grad_stacks(gates: str, B: int, U: int) -> tuple:
-    """Zeroed dw (G, 1, U), du (G, U, U), db (G, U), a (G, B, U) buffer for
-    one step's gate deltas, and the stacks' per-gate views by tensor name."""
+def _gradients(state: ModelState, xs: np.ndarray, dh: np.ndarray) -> dict:
+    """The cell's BPTT gradients of dh, as new arrays by tensor name."""
+    gates, U = GATES[state.kind], state.units
     dw, du, db = (np.zeros((len(gates),) + shape) for shape in ((1, U), (U, U), (U,)))
-    views = {f"{t}_{g}": a[k] for k, g in enumerate(gates)
-             for t, a in zip("wub", (dw[:, 0], du, db))}
-    return dw, du, db, np.empty((len(gates), B, U)), views
-
-
-def _lstm_backward(p: dict, xs: np.ndarray, dh: np.ndarray, steps: list) -> dict:
-    """BPTT gradients of dh (loss w.r.t. the final h), by tensor name."""
-    u = _pack(p, "ifog")[1]
-    dw, du, db, da, grads = _grad_stacks("ifog", *dh.shape)
-    zero = np.zeros_like(dh)  # c_0 and h_0
-    dc = np.zeros_like(dh)
-    for t in range(xs.shape[1] - 1, -1, -1):
-        s, tc, _, _ = steps[t]
-        i, f, o, g = s
-        c_prev, h_prev = steps[t - 1][2:] if t else (zero, zero)
-        dc += dh * o * (1.0 - tc * tc)
-        np.multiply(dc, g, out=da[0])
-        np.multiply(dc, c_prev, out=da[1])
-        np.multiply(dh, tc, out=da[2])
-        da[:3] *= s[:3]
-        da[:3] *= 1.0 - s[:3]
-        np.multiply(dc, i, out=da[3])
-        da[3] *= 1.0 - g * g
-        du += np.matmul(da.transpose(0, 2, 1), h_prev)
-        dw += np.matmul(xs[None, :, t], da)
-        db += da.sum(axis=1)
-        dh = np.matmul(da, u).sum(axis=0)
-        dc *= f
-    return grads
-
-
-def _gru_backward(p: dict, xs: np.ndarray, dh: np.ndarray, steps: list) -> dict:
-    """BPTT gradients of dh (loss w.r.t. the final h), by tensor name."""
-    u = _pack(p, "zr")[1]
-    dw, du, db, da, grads = _grad_stacks("zrn", *dh.shape)
-    zero = np.zeros_like(dh)  # h_0
-    for t in range(xs.shape[1] - 1, -1, -1):
-        s, n, rh, _ = steps[t]
-        z, r = s
-        h_prev = steps[t - 1][-1] if t else zero
-        np.multiply(dh, 1.0 - z, out=da[2])
-        da[2] *= 1.0 - n * n
-        drh = da[2] @ p["u_n"]
-        np.multiply(dh, h_prev - n, out=da[0])
-        np.multiply(drh, h_prev, out=da[1])
-        da[:2] *= s
-        da[:2] *= 1.0 - s
-        du[:2] += np.matmul(da[:2].transpose(0, 2, 1), h_prev)
-        du[2] += da[2].T @ rh  # n acts on r * h
-        dw += np.matmul(xs[None, :, t], da)
-        db += da.sum(axis=1)
-        dh_zr = np.matmul(da[:2], u)
-        dh = dh * z + drh * r + dh_zr[0] + dh_zr[1]
-    return grads
-
-
-_BACKWARDS = {"lstm": _lstm_backward, "gru": _gru_backward}
+    u = np.stack([state.params[f"u_{g}"] for g in gates])
+    _CELLS[state.kind][2](xs, dh, state._storage, u, dw, du, db)
+    return {f"{t}_{g}": a[k] for k, g in enumerate(gates)
+            for t, a in zip("wub", (dw[:, 0], du, db))}
 
 
 def backward_batch(state: ModelState, inputs: np.ndarray,
@@ -282,8 +343,7 @@ def backward_batch(state: ModelState, inputs: np.ndarray,
         raise ShapeError("backward: empty batch")
 
     B, F, p = xs.shape[0], state.horizon, state.params
-    steps = list(_STEPS[state.kind](p, xs))
-    h_last = steps[-1][-1]  # (B, U)
+    h_last = _forward(state, xs, train=True).h[-1]  # (B, U)
 
     with np.errstate(over="ignore"):
         preds = h_last @ p["w_out"].T + p["b_out"]  # (B, F)
@@ -294,7 +354,7 @@ def backward_batch(state: ModelState, inputs: np.ndarray,
 
     dpred = (2.0 / (F * B)) * err                # (B, F)
     dh = dpred @ p["w_out"]                      # (B, U)
-    grads = _BACKWARDS[state.kind](p, xs, dh, steps)
+    grads = _gradients(state, xs, dh)
     grads["w_out"] = dpred.T @ h_last            # (F, U)
     grads["b_out"] = dpred.sum(axis=0)           # (F,)
     return loss, grads

@@ -64,6 +64,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__, svgchart
+from .cells import BLOCK_BYTES
 from .dataprep import (PartitionSpec, Series, denormalize, gen_activities,
                        gen_random_walk, load_csv, make_windows, normalize, save_csv)
 from .evalkit import (EvalReport, ForecastSet, PersistenceBaseline, SeriesResult,
@@ -211,15 +212,21 @@ class ExperimentConfig:
                 PartitionSpec(self.window, horizon, self.test_len)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # The largest network's parameters, gradients and Adam's two moments,
-        # plus one batch's yielded steps, against physical memory.
+        # Against physical memory: the largest network's parameters, gradients
+        # and Adam's two moments; four (G, U, U) stacks and temporaries; the
+        # storage it keeps between batches (cells._Storage): every step of a
+        # full batch, the blocks' buffers and about 8 KiB of views per step;
+        # and 256 KiB of numpy's ufunc buffers.
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, OSError, ValueError):  # not reported on this platform
             memory = -1
         networks, u = set(self.models) - {"baseline"}, self.units
-        need = (32 * ((4 if "lstm" in networks else 3) * (u * u + 2 * u)
-                      + max(self.horizons) * (u + 1)) + 56 * self.window * self.batch_size * u)
+        G, B, T = (4 if "lstm" in networks else 3), self.batch_size, self.window
+        k = min(T, max(1, BLOCK_BYTES // (8 * G * B * u)))
+        need = (8 * (4 * (G * (u * u + 2 * u) + max(self.horizons) * (u + 1)) + 4 * G * u * u
+                     + B * u * ((G + 3) * (T + 1) + (2 * G + 1) * k + 1) + 2 * G * u * (k + 2))
+                + 8192 * T + (1 << 18))
         if networks and 0 < memory < need:
             raise ConfigError(f"units={u} needs about {need / 2**30:.1f} GiB to train, "
                               f"more than the {memory / 2**30:.1f} GiB of memory")

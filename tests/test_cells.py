@@ -18,6 +18,7 @@ import pytest
 from rnncast import cells
 from rnncast.cells import backward_batch, init_model, tensor_shapes
 from rnncast.numkit import NumericError, Rng, ShapeError
+from rnncast.training import AdamState, adam_step
 
 
 def sigmoid_scalar(a):
@@ -93,10 +94,11 @@ def zero_params(kind, units):
 
 def trace(kind, params, xs):
     """Hidden states h_1 .. h_w (w, units) of one window, and for an LSTM
-    its cell states c_1 .. c_w, read off the step generator's batch of one."""
-    steps = list(cells._STEPS[kind](params, np.asarray(xs, dtype=np.float64)[None, :]))
-    hidden = np.array([step[-1][0] for step in steps])
-    return hidden, np.array([step[2][0] for step in steps]) if kind == "lstm" else None
+    its cell states c_1 .. c_w, copied off the training forward's storage
+    for a batch of one."""
+    xs = np.asarray(xs, dtype=np.float64)[None, :]
+    st = cells._forward(cells.ModelState(kind, dict(params), xs.shape[1]), xs, train=True)
+    return st.h[1:, 0].copy(), st.aux[0, 1:, 0].copy() if kind == "lstm" else None
 
 
 class TestForwardOracle:
@@ -184,22 +186,27 @@ class TestForwardBehavior:
         npt.assert_array_equal(trace(kind, state.params, xs)[0], trace(kind, state.params, xs)[0])
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
-    def test_collected_steps_equal_copies_taken_at_each_yield(self, kind):
-        # backward_batch reads the step tuples that list() collects, so no
-        # step may write into an array that an earlier step yielded.
+    def test_collected_steps_equal_copies_taken_at_each_yield(self, kind, monkeypatch):
+        # The backward reads every step's arrays from the training forward's
+        # storage, so within one call no step may write into an array that
+        # an earlier step wrote. The arrays each step writes are its step
+        # function's output arguments, copied here as each step returns.
+        outputs = {"lstm": (0, 7, 8, 10), "gru": (0, 3, 5, 6, 7)}[kind]  # s, c1, tc, h1 | ...
+        views, step, backward = cells._CELLS[kind]
+        written = []
+
+        def copying(*args):
+            step(*args)
+            written.append([(args[i], args[i].copy()) for i in outputs])
+
+        monkeypatch.setitem(cells._CELLS, kind, (views, copying, backward))
         state = make_state(kind, units=4, window=7, seed=17)
         xs = np.random.default_rng(18).uniform(-1, 1, size=(3, 7))
-        copies = []
-
-        def copying(steps):
-            for step in steps:
-                copies.append(tuple(a.copy() for a in step))
-                yield step
-
-        collected = list(copying(cells._STEPS[kind](state.params, xs)))
-        assert len(collected) == 7
-        for step, copy in zip(collected, copies):
-            for value, expected in zip(step, copy):
+        monkeypatch.setattr(cells, "BLOCK_BYTES", 3 * 8 * len(cells.GATES[kind]) * 3 * 4)
+        cells._forward(state, xs, train=True)
+        assert len(written) == 7
+        for arrays in written:
+            for value, expected in arrays:
                 npt.assert_array_equal(value, expected)
 
 
@@ -408,20 +415,46 @@ def packages_loaded_by_import(filter_expr):
 
 class TestSigmoid:
     def test_matches_reciprocal_formula(self):
+        # The gate blocks hold negated pre-activations: _sigmoid(-x), in
+        # place on a new array, is the sigmoid of x bit for bit.
         x = np.random.default_rng(71).normal(0.0, 4.0, size=10_000)
-        # _sigmoid works in place, so it gets a copy.
-        npt.assert_array_equal(cells._sigmoid(x.copy()), 1.0 / (1.0 + np.exp(-x)))
+        npt.assert_array_equal(cells._sigmoid(np.negative(x)), 1.0 / (1.0 + np.exp(-x)))
 
-    def test_saturates_exactly_without_warning(self):
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_saturates_exactly_without_warning(self, kind):
+        # Pre-activations of -800 and +800 give sigmoid gates of exactly 0.0
+        # and 1.0 in a forecast and a backward_batch, with warnings as errors.
+        state = make_state(kind, units=2, window=3)
+        first, second = cells.GATES[kind][:2]
+        state.params[f"b_{first}"][:] = -800.0
+        state.params[f"b_{second}"][:] = 800.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = cells._sigmoid(np.array([-800.0, 800.0]))
+            state.forecast(np.zeros((2, 3)))
+            forecast_gates = state._storage.gates[:, :2].copy()
+            backward_batch(state, np.zeros((2, 3)), np.zeros((2, 2)))
+        for gates in (forecast_gates, state._storage.gates[:, :2]):
+            assert (gates[:, 0] == 0.0).all() and (gates[:, 1] == 1.0).all()
+        with np.errstate(over="ignore"):  # the scope the forward holds
+            out = cells._sigmoid(np.array([800.0, -800.0]))
         assert out[0] == 0.0 and out[1] == 1.0
 
-    def test_step_generator_leaves_float_error_state_alone(self):
+    def test_step_generator_leaves_float_error_state_alone(self, monkeypatch):
+        # The forward's np.errstate scope ends with the call: after a return
+        # and after a step that raises, the caller runs under its own state.
         before = np.geterr()
-        steps = cells._lstm_steps(make_state("lstm").params, np.full((1, 5), 1e3))
-        next(steps)  # suspended mid-loop: the caller runs under its own state
+        state = make_state("lstm")
+        state.forecast(np.full((1, 5), 1e3))
+        backward_batch(state, np.full((1, 5), 1e3), np.zeros((1, 2)))
+        assert np.geterr() == before
+
+        def failing(*args):
+            raise FloatingPointError("step failed")
+
+        views, _, backward = cells._CELLS["lstm"]
+        monkeypatch.setitem(cells._CELLS, "lstm", (views, failing, backward))
+        with pytest.raises(FloatingPointError, match="step failed"):
+            state.forecast(np.zeros((1, 5)))
         assert np.geterr() == before
 
     def test_package_import_loads_no_dependency_but_numpy(self):
@@ -559,3 +592,111 @@ class TestStackedGatesMatchPerGateBits:
             assert grads[name].shape == ref.shape, name
             assert grads[name].tobytes() == ref.tobytes(), name
         assert state.forecast(xs).tobytes() == ref_forecast(state, xs).tobytes()
+
+
+def adam_trained(kind, units, window, horizon, seed):
+    """A model after three Adam steps on seeded batches: every bias non-zero."""
+    state = init_model(kind, units, window, horizon, Rng(seed))
+    rng = np.random.default_rng(seed)
+    adam = AdamState(learning_rate=0.05)
+    for _ in range(3):
+        _, grads = backward_batch(state, rng.uniform(-1, 1, (4, window)),
+                                  rng.uniform(-1, 1, (4, horizon)))
+        adam_step(adam, state.params, grads)
+    # In a window of one step, f and r act on the zero initial state only.
+    still_zero = {"b_f", "b_r"} if window == 1 else set()
+    assert all((t != 0).all() for name, t in state.params.items()
+               if name.startswith("b_") and name not in still_zero)
+    return state
+
+
+def with_zeros(xs):
+    """xs with exact zeros: a whole window, every fourth step, and -0.0 steps."""
+    xs = xs.copy()
+    xs[:, ::4] = 0.0
+    xs[-1] = 0.0
+    xs[0, 1::5] = -0.0
+    return xs
+
+
+def copy_of(state):
+    return cells.ModelState(state.kind, {k: v.copy() for k, v in state.params.items()},
+                            state.window)
+
+
+class TestBlocksMatchPerGateBits:
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("window", [1, 2, 13, 60])
+    @pytest.mark.parametrize("batch", [1, 5, 16])
+    @pytest.mark.parametrize("block", ["one", "three", "window"])
+    def test_block_edges_are_byte_equal(self, kind, window, batch, block, monkeypatch):
+        units, horizon = 6, 3
+        steps = {"one": 1, "three": 3, "window": window}[block]
+        monkeypatch.setattr(cells, "BLOCK_BYTES",
+                            steps * 8 * len(cells.GATES[kind]) * batch * units)
+        state = adam_trained(kind, units, window, horizon, seed=window * 10 + batch)
+        rng = np.random.default_rng(window + batch)
+        xs = with_zeros(rng.uniform(-1.0, 1.0, (batch, window)))
+        ys = rng.uniform(-1.0, 1.0, (batch, horizon))
+        loss, grads = backward_batch(state, xs, ys)
+        assert state._storage.k == min(steps, window)
+        ref_loss, ref_grads = ref_backward_batch(state, xs, ys)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        for name, ref in ref_grads.items():
+            assert grads[name].tobytes() == ref.tobytes(), name
+        assert state.forecast(xs).tobytes() == ref_forecast(state, xs).tobytes()
+
+
+class TestStorageReuse:
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_each_batch_gets_the_bytes_of_a_fresh_model(self, kind):
+        # Batches of 16, 3 and 16 rows: the storage is reallocated twice, and
+        # each call equals the same call on a copy that has no storage.
+        state = adam_trained(kind, 8, 13, 2, seed=3)
+        rng = np.random.default_rng(4)
+        adam = AdamState(learning_rate=0.05)
+        for rows in (16, 3, 16):
+            xs = with_zeros(rng.uniform(-1, 1, (rows, 13)))
+            ys = rng.uniform(-1, 1, (rows, 2))
+            fresh_loss, fresh_grads = backward_batch(copy_of(state), xs, ys)
+            loss, grads = backward_batch(state, xs, ys)
+            assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes()
+            for name, g in grads.items():
+                assert g.tobytes() == fresh_grads[name].tobytes(), name
+            adam_step(adam, state.params, grads)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_results_are_new_arrays_that_later_calls_leave_alone(self, kind):
+        state = adam_trained(kind, 8, 13, 2, seed=5)
+        rng = np.random.default_rng(6)
+        xs, ys = rng.uniform(-1, 1, (16, 13)), rng.uniform(-1, 1, (16, 2))
+        _, grads = backward_batch(state, xs, ys)
+        train_arrays = [a for a in vars(state._storage).values() if isinstance(a, np.ndarray)]
+        kept = {name: g.copy() for name, g in grads.items()}
+        preds = state.forecast(xs)
+        kept_preds = preds.copy()
+        forecast_arrays = [a for a in vars(state._storage).values() if isinstance(a, np.ndarray)]
+        backward_batch(state, xs[::-1] * 0.5, ys[::-1])
+        state.forecast(xs[::-1] * 0.5)
+        for name, g in grads.items():
+            assert g.tobytes() == kept[name].tobytes(), name
+            assert not any(np.shares_memory(g, a) for a in train_arrays), name
+        assert preds.tobytes() == kept_preds.tobytes()
+        assert not any(np.shares_memory(preds, a) for a in forecast_arrays)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("rows", [16, 1000])
+    def test_forecast_between_batches_changes_no_gradient(self, kind, rows):
+        # A forecast of as many rows as the batch shares the window; one of
+        # 1000 rows runs in blocks. Neither moves the next batch's bytes.
+        state, twin = adam_trained(kind, 8, 13, 2, seed=7), adam_trained(kind, 8, 13, 2, seed=7)
+        rng = np.random.default_rng(8)
+        batches = [(rng.uniform(-1, 1, (16, 13)), rng.uniform(-1, 1, (16, 2))) for _ in range(2)]
+        backward_batch(state, *batches[0])
+        backward_batch(twin, *batches[0])
+        state.forecast(rng.uniform(-1, 1, (rows, 13)))
+        loss, grads = backward_batch(state, *batches[1])
+        twin_loss, twin_grads = backward_batch(twin, *batches[1])
+        assert np.float64(loss).tobytes() == np.float64(twin_loss).tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == twin_grads[name].tobytes(), name

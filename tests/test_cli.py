@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
@@ -24,11 +25,11 @@ from rnncast.cells import ModelState, init_model
 from rnncast.cli import (GENERATOR_FLAGS, GENERATOR_PARAMS, GENERATORS,
                          ConfigError, ExperimentConfig, _config_from_args,
                          build_parser, main)
-from rnncast.dataprep import (MAX_LINE_CHARS, PartitionSpec, Series, gen_random_walk,
-                              load_csv, normalize, save_csv)
+from rnncast.dataprep import (MAX_LINE_CHARS, PartitionSpec, Series, WindowedDataset,
+                              gen_random_walk, load_csv, normalize, save_csv)
 from rnncast.evalkit import evaluate
 from rnncast.numkit import Rng
-from rnncast.training import Checkpoint, load_checkpoint, save_checkpoint
+from rnncast.training import Checkpoint, load_checkpoint, save_checkpoint, train
 
 DESK_FLAGS = ["--dataset", "activities", "--length", "320", "--series", "3",
               "--window", "10", "--horizons", "1,3", "--test-len", "50",
@@ -151,10 +152,14 @@ class TestConfig:
     @pytest.mark.parametrize("models, gates", [(["gru"], 3), (["lstm", "gru", "baseline"], 4)])
     def test_network_larger_than_memory_refused(self, monkeypatch, models, gates):
         # Parameters, gradients and Adam's moments of the largest network,
-        # plus one batch's yielded steps; estimated, never allocated.
+        # four (G, U, U) stacks, and the storage it keeps between batches:
+        # 7 (T + 1) steps' arrays, one block of 7 steps' buffers and the
+        # views; estimated, never allocated.
         cfg = ExperimentConfig(models=models, units=5, window=7, batch_size=3,
                                horizons=[1, 4], test_len=10)
-        need = 32 * (gates * (5 * 5 + 2 * 5) + 4 * 5 + 4) + 8 * 7 * 3 * 5 * 7
+        need = (8 * (4 * (gates * (5 * 5 + 2 * 5) + 4 * (5 + 1)) + 4 * gates * 5 * 5
+                     + 3 * 5 * ((gates + 3) * 8 + (2 * gates + 1) * 7 + 1) + 2 * gates * 5 * 9)
+                + 8192 * 7 + 256 * 1024)
         for memory in (need, need - 1):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
@@ -163,6 +168,29 @@ class TestConfig:
                     cfg.validate()
             else:
                 cfg.validate()
+
+    @pytest.mark.parametrize("kind, units, window, batch", [("lstm", 2, 7, 3), ("gru", 16, 20, 8),
+                                                             ("lstm", 32, 60, 16)])
+    def test_memory_estimate_covers_one_epoch_of_training(self, monkeypatch, kind, units,
+                                                         window, batch):
+        # The estimate is at least the tracemalloc peak of one epoch, whose
+        # last, partial batch reallocates the model's storage.
+        cfg = ExperimentConfig(models=[kind], units=units, window=window, batch_size=batch,
+                               horizons=[3], test_len=10, epochs=1)
+        rng = np.random.default_rng(units)
+        rows = 3 * batch + 1
+        data = WindowedDataset(rng.uniform(-1, 1, (rows, window)), rng.uniform(-1, 1, (rows, 3)),
+                               np.arange(rows))
+        tracemalloc.start()
+        try:
+            train(kind, data, cfg.train_config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak - 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        with pytest.raises(ConfigError, match=f"units={units} needs about"):
+            cfg.validate()
 
     def test_memory_check_skipped_for_baseline_or_unknown_memory(self, monkeypatch):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}  # 1 GiB
