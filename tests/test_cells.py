@@ -687,8 +687,8 @@ class TestStorageReuse:
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     @pytest.mark.parametrize("rows", [16, 1000])
     def test_forecast_between_batches_changes_no_gradient(self, kind, rows):
-        # A forecast of as many rows as the batch shares the window; one of
-        # 1000 rows runs in blocks. Neither moves the next batch's bytes.
+        # A forecast of the batch's 16 rows, or of 1000 rows in blocks of 4
+        # (lstm) or 5 (gru) steps, leaves the next batch's bytes alone.
         state, twin = adam_trained(kind, 8, 13, 2, seed=7), adam_trained(kind, 8, 13, 2, seed=7)
         rng = np.random.default_rng(8)
         batches = [(rng.uniform(-1, 1, (16, 13)), rng.uniform(-1, 1, (16, 2))) for _ in range(2)]

@@ -275,8 +275,8 @@ def main(argv=None) -> int:
             print(f"  {case}: parent {r['parent']['median']:.3f} "
                   f"[{r['parent']['q1']:.3f}, {r['parent']['q3']:.3f}], change "
                   f"{r['change']['median']:.3f} [{r['change']['q1']:.3f}, "
-                  f"{r['change']['q3']:.3f}]; rounds won {r['rounds_won']['parent']}"
-                  f" / {r['rounds_won']['change']}")
+                  f"{r['change']['q3']:.3f}]; rounds won: parent {r['rounds_won']['parent']}"
+                  f", change {r['rounds_won']['change']}")
     if args.label:
         result = {"parent": args.parent, "parent_commit": commit, "seed": SEED,
                   "runs": {name: {"workload": RUNS[name][0], "extra_flags": RUNS[name][1],
