@@ -30,16 +30,18 @@ gradients as a new dict under the same names. Each cell's equations exist
 once in a step function serving both, and once more, differentiated, in its
 backward pass, which reads the step's arrays uncopied. Both stack a gate
 group's tensors gate-major: one product and one activation call per group,
-with the bits of separate per-gate products. Both run in blocks of steps:
-x * w, the backward's activation factors and the dw, db terms take one call
-per block, in the step loop's order of operations, so no bit changes. The
-sigmoid gates' w, u and b are negated once per batch, which negates their
-pre-activations exactly, so their sigmoid is exp, +1 and a divide. A model
-keeps its step arrays and block buffers for the next batch of its shape.
+with the bits of separate per-gate products. Both run one step loop in
+blocks of steps: x * w, the backward's activation factors and the dw, db
+terms take one call per block, in the step loop's order, so no bit changes.
+The sigmoid gates' w, u and b are negated once per batch, which negates
+their pre-activations exactly, so their sigmoid is exp, +1 and a divide. A
+model keeps the arrays of one shape table, `_layout`, for the next batch of
+its shape: training keeps every step, forecasting reuses k + 1 state slots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +114,7 @@ class ModelState:
         if xs.ndim != 2 or xs.shape[1] != self.window:
             raise ShapeError(
                 f"forecast: expected inputs of shape (n, {self.window}), got {xs.shape}")
-        h = _forward(self, xs, train=False).h[0]
+        h = _forward(self, xs, train=False).last
         preds = h @ self.params["w_out"].T + self.params["b_out"]
         if not np.isfinite(preds).all():
             raise NumericError("forecast: non-finite prediction")
@@ -141,27 +143,44 @@ def init_model(kind: str, units: int, window: int, horizon: int, rng: Rng) -> Mo
 BLOCK_BYTES = 1 << 20  # a block: as many steps as fit a (k, G, B, U) array
 
 
+def _layout(kind: str, B: int, U: int, T: int, train: bool) -> dict[str, tuple]:
+    """Name -> shape of each array a model's storage owns for batches (B, T) in
+    blocks of k steps, with S step slots: training's T, forecasting's k."""
+    G = len(GATES[kind])
+    k = min(T, max(1, BLOCK_BYTES // (8 * G * max(B, 1) * U)))
+    S = T if train else k
+    return {"w": (G, U), "u": (G, U, U), "b": (G, U), "bias": (G, B, U),
+            "gates": (S, G, B, U), "h": (S + 1, B, U), "aux": (2, S + 1, B, U),
+            "blk": (k, G, B, U), "tw": (k + 1, G, 1, U), "tb": (k + 1, G, U),
+            "fac": (k, G + 1) + ((B, U) if train else (0, 0)), "tmp": (B, U)}
+
+
+def train_bytes(kind: str, units: int, window: int, horizon: int, batch: int) -> int:
+    """Estimated peak bytes of training a `kind` model: parameters, gradients
+    and Adam's two moments, the backward's three (G, U, U) temporaries, the
+    arrays of `_layout`, 8 KiB of views per step and 256 KiB of ufunc buffers."""
+    params = sum(map(math.prod, tensor_shapes(kind, units, horizon).values()))
+    table = sum(map(math.prod, _layout(kind, batch, units, window, True).values()))
+    return 8 * (4 * params + 3 * len(GATES[kind]) * units**2 + table) + 8192 * window + 2**18
+
+
 class _Storage:
-    """The arrays a model reuses for every batch of one (B, T) shape, and the
-    views of them each step reads. Step arrays: gates (S, G, B, U); h
-    (S + 1, B, U), slot 0 the zero initial state, slot t + 1 step t's; aux
-    (2, S + 1, B, U), the LSTM's c (slots as h) and tanh(c), or the GRU's
-    r * h_{t-1} and 1 - z. Training keeps S = T steps; forecasting S = k, one
-    block's, carrying the state into slot 0. Per batch: w, u, b stacked, the
-    sigmoid gates' negated, and b broadcast to `bias`. Per block: blk holds
-    x * w, then the gate deltas; fac the backward's activation factors; tw,
-    tb the dw, db terms after the accumulator in slot 0."""
+    """The arrays of `_layout`, which a model reuses for every batch of one
+    (B, T) shape, and the views each step reads. Step t writes gate slot
+    g = t % S and state slot j = (t + 1) % (S + 1) from i = t % (S + 1), in
+    block slot b = t % k; h[0] and aux[0, 0] hold the zero state. aux: the
+    LSTM's c (slots as h) and tanh(c), or the GRU's r * h_{t-1} and 1 - z
+    (slots as gates). Per batch: w, u, b stacked, the sigmoid gates' negated,
+    b broadcast to `bias`. Per block: blk holds x * w, then the gate deltas;
+    fac the backward's activation factors; tw, tb the dw, db terms."""
 
     def __init__(self, kind: str, B: int, U: int, T: int, train: bool):
-        G, e = len(GATES[kind]), np.empty
-        self.key, self.k = (B, T, train), min(T, max(1, BLOCK_BYTES // (8 * G * B * U)))
-        S, k = (T if train else self.k), self.k
-        self.w, self.u, self.b, self.bias = e((G, U)), e((G, U, U)), e((G, U)), e((G, B, U))
-        self.gates, self.h, self.aux = e((S, G, B, U)), e((S + 1, B, U)), e((2, S + 1, B, U))
-        self.blk, self.tw, self.tb = e((k, G, B, U)), e((k + 1, G, 1, U)), e((k + 1, G, U))
-        self.fac, self.tmp = e((k, G + 1) + ((B, U) if train else (0, 0))), e((B, U))
-        self.carry = (self.h, self.aux[0]) if kind == "lstm" else (self.h,)
-        self.fwd, self.bwd = zip(*(_CELLS[kind][0](self, t) for t in range(S)))
+        for name, shape in _layout(kind, B, U, T, train).items():
+            setattr(self, name, np.empty(shape))
+        self.key, self.k, S = (B, T, train), len(self.blk), len(self.gates)
+        self.last = self.h[T % (S + 1)]
+        self.fwd, self.bwd = zip(*(_CELLS[kind][0](self, t % S, t % (S + 1), (t + 1) % (S + 1),
+                                                   t % self.k) for t in range(T)))
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
@@ -172,12 +191,12 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def _lstm_views(st: _Storage, t: int) -> tuple:
-    """The arguments of step t's `_lstm_step`, and the views its BPTT reads."""
-    s, h, (c, tc), da, fac = st.gates[t], st.h, st.aux, st.blk[t % st.k], st.fac[t % st.k]
-    return ((s, s[:3], *s, c[t], c[t + 1], tc[t], h[t], h[t + 1], da, st.u.transpose(0, 2, 1),
+def _lstm_views(st: _Storage, g: int, i: int, j: int, b: int) -> tuple:
+    """Step (g, i, j, b)'s `_lstm_step` arguments, and the views its BPTT reads."""
+    s, h, (c, tc), da, fac = st.gates[g], st.h, st.aux, st.blk[b], st.fac[b]
+    return ((s, s[:3], *s, c[i], c[j], tc[g], h[i], h[j], da, st.u.transpose(0, 2, 1),
              st.bias, st.tmp),
-            (s[:3], *s, c[t], tc[t], h[t], da, da.transpose(0, 2, 1), da[:3], *da, fac[:3],
+            (s[:3], *s, c[i], tc[g], h[i], da, da.transpose(0, 2, 1), da[:3], *da, fac[:3],
              *fac[3:]))
 
 
@@ -221,13 +240,13 @@ def _lstm_backward(xs: np.ndarray, dh: np.ndarray, st: _Storage, u: np.ndarray,
         _fold(st, xs, t0, t1, dw, db)
 
 
-def _gru_views(st: _Storage, t: int) -> tuple:
-    """The arguments of step t's `_gru_step`, and the views its BPTT reads."""
-    s, h, (rh, omz), da, fac = st.gates[t], st.h, st.aux, st.blk[t % st.k], st.fac[t % st.k]
+def _gru_views(st: _Storage, g: int, i: int, j: int, b: int) -> tuple:
+    """Step (g, i, j, b)'s `_gru_step` arguments, and the views its BPTT reads."""
+    s, h, (rh, omz), da, fac = st.gates[g], st.h, st.aux, st.blk[b], st.fac[b]
     uT = st.u.transpose(0, 2, 1)
-    return ((s[:2], *s, h[t], h[t + 1], rh[t], omz[t], da[:2], da[2], uT[:2], uT[2],
+    return ((s[:2], *s, h[i], h[j], rh[g], omz[g], da[:2], da[2], uT[:2], uT[2],
              st.bias[:2], st.bias[2], st.tmp),
-            (s[:2], *s[:2], h[t], rh[t], omz[t], da[:2], da[:2].transpose(0, 2, 1), *da,
+            (s[:2], *s[:2], h[i], rh[g], omz[g], da[:2], da[:2].transpose(0, 2, 1), *da,
              da[2].T, fac[:2], *fac[2:]))
 
 
@@ -290,16 +309,13 @@ def _forward(state: ModelState, xs: np.ndarray, train: bool) -> _Storage:
         np.stack([state.params[f"{t}_{g}"] for g in gates], out=a)
         np.negative(a[:-1], out=a[:-1])  # the sigmoid gates, all but the last
     st.bias[...] = st.b[:, None]
-    for a in st.carry:
-        a[0] = 0.0
+    st.h[0] = st.aux[0, 0] = 0.0
     with np.errstate(over="ignore"):
         for t0 in range(0, T, st.k):
-            n, o = min(st.k, T - t0), (t0 if train else 0)
+            n = min(st.k, T - t0)
             np.multiply(xs.T[t0:t0 + n, None, :, None], st.w[:, None], out=st.blk[:n])
-            for args in st.fwd[o:o + n]:
+            for args in st.fwd[t0:t0 + n]:
                 step(*args)
-            for a in () if train else st.carry:
-                a[0] = a[n]
     return st
 
 
@@ -313,16 +329,6 @@ def _fold(st: _Storage, xs: np.ndarray, t0: int, t1: int, dw, db) -> None:
     for acc, terms in ((dw, tw), (db, tb)):
         terms[0] = acc
         np.add.reduce(terms[:n + 1], axis=0, out=acc)
-
-
-def _gradients(state: ModelState, xs: np.ndarray, dh: np.ndarray) -> dict:
-    """The cell's BPTT gradients of dh, as new arrays by tensor name."""
-    gates, U = GATES[state.kind], state.units
-    dw, du, db = (np.zeros((len(gates),) + shape) for shape in ((1, U), (U, U), (U,)))
-    u = np.stack([state.params[f"u_{g}"] for g in gates])
-    _CELLS[state.kind][2](xs, dh, state._storage, u, dw, du, db)
-    return {f"{t}_{g}": a[k] for k, g in enumerate(gates)
-            for t, a in zip("wub", (dw[:, 0], du, db))}
 
 
 def backward_batch(state: ModelState, inputs: np.ndarray,
@@ -342,11 +348,11 @@ def backward_batch(state: ModelState, inputs: np.ndarray,
     if xs.shape[0] < 1:
         raise ShapeError("backward: empty batch")
 
-    B, F, p = xs.shape[0], state.horizon, state.params
-    h_last = _forward(state, xs, train=True).h[-1]  # (B, U)
+    B, F, p, gates, U = xs.shape[0], state.horizon, state.params, GATES[state.kind], state.units
+    st = _forward(state, xs, train=True)  # st.last: the final state (B, U)
 
     with np.errstate(over="ignore"):
-        preds = h_last @ p["w_out"].T + p["b_out"]  # (B, F)
+        preds = st.last @ p["w_out"].T + p["b_out"]  # (B, F)
         err = preds - ys
         loss = float((err * err).sum() / (F * B))
     if not np.isfinite(loss):
@@ -354,7 +360,10 @@ def backward_batch(state: ModelState, inputs: np.ndarray,
 
     dpred = (2.0 / (F * B)) * err                # (B, F)
     dh = dpred @ p["w_out"]                      # (B, U)
-    grads = _gradients(state, xs, dh)
-    grads["w_out"] = dpred.T @ h_last            # (F, U)
+    dw, du, db = (np.zeros((len(gates),) + shape) for shape in ((1, U), (U, U), (U,)))
+    _CELLS[state.kind][2](xs, dh, st, np.stack([p[f"u_{g}"] for g in gates]), dw, du, db)
+    grads = {f"{t}_{g}": a[k] for k, g in enumerate(gates)
+             for t, a in zip("wub", (dw[:, 0], du, db))}
+    grads["w_out"] = dpred.T @ st.last           # (F, U)
     grads["b_out"] = dpred.sum(axis=0)           # (F,)
     return loss, grads

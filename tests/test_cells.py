@@ -700,3 +700,25 @@ class TestStorageReuse:
         assert np.float64(loss).tobytes() == np.float64(twin_loss).tobytes()
         for name, g in grads.items():
             assert g.tobytes() == twin_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_empty_stack_forecasts_no_row_and_leaves_the_next_forecast_alone(self, kind):
+        state = adam_trained(kind, 8, 13, 2, seed=9)
+        assert state.forecast(np.zeros((0, 13))).shape == (0, 2)
+        xs = with_zeros(np.random.default_rng(10).uniform(-1, 1, (1, 13)))
+        assert state.forecast(xs).tobytes() == copy_of(state).forecast(xs).tobytes()
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("steps", [1, 3, 13])
+    def test_storage_owns_exactly_the_arrays_of_its_layout(self, kind, train, steps,
+                                                           monkeypatch):
+        # Blocks of k = 1, 1 < k < T and k = T steps: the arrays a storage
+        # owns are the table's, so none escapes `train_bytes`.
+        B, U, T = 5, 6, 13
+        monkeypatch.setattr(cells, "BLOCK_BYTES", steps * 8 * len(cells.GATES[kind]) * B * U)
+        st = cells._Storage(kind, B, U, T, train)
+        assert st.k == steps
+        owned = [a for a in vars(st).values() if isinstance(a, np.ndarray) and a.base is None]
+        layout = cells._layout(kind, B, U, T, train)
+        assert sum(a.nbytes for a in owned) == 8 * sum(math.prod(s) for s in layout.values())

@@ -1,6 +1,6 @@
 """Self-test of tools/parentcheck.py: a tree compared with itself on a tiny
 `run` shows no difference, a changed flag shows in the comparison, and so
-does a one-ulp change to the gradients under --grads."""
+does a one-ulp change to the gradients or to the forecasts under --grads."""
 
 import importlib.util
 import shutil
@@ -35,20 +35,35 @@ def test_changed_output_and_failed_run_are_counted(tmp_path):
     assert parentcheck.failures(report) == len(report["tiny"]["differing"]) + 1
 
 
+def changed_copy(tmp_path, name, code):
+    """A copy of this tree's package with `code` appended to its cells.py."""
+    shutil.copytree(ROOT / "src", tmp_path / name / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / name / "src" / "rnncast" / "cells.py", "a", encoding="utf-8") as cells:
+        cells.write(code)
+    return tmp_path / name
+
+
 def test_gradient_bytes_of_a_changed_tree_differ(tmp_path):
     # A copy whose backward_batch moves one gradient by one ulp differs in
-    # every case's digest; the tree compared with itself differs in none.
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "rnncast" / "cells.py", "a", encoding="utf-8") as cells:
-        cells.write("\n\n_exact = backward_batch\n\n\n"
-                    "def backward_batch(state, inputs, targets):\n"
-                    "    loss, grads = _exact(state, inputs, targets)\n"
-                    "    grads['b_out'] = np.nextafter(grads['b_out'], np.inf)\n"
-                    "    return loss, grads\n")
+    # every case's digest, the forecast cases' through their Adam steps; a
+    # copy whose forecast moves by one ulp differs in every forecast case's
+    # and in no gradient case's; the tree compared with itself in none.
+    grads_moved = changed_copy(tmp_path, "grads", "\n\n_exact = backward_batch\n\n\n"
+                               "def backward_batch(state, inputs, targets):\n"
+                               "    loss, grads = _exact(state, inputs, targets)\n"
+                               "    grads['b_out'] = np.nextafter(grads['b_out'], np.inf)\n"
+                               "    return loss, grads\n")
+    forecast_moved = changed_copy(tmp_path, "forecast", "\n\n_exact = ModelState.forecast\n"
+                                  "ModelState.forecast = lambda self, inputs: np.nextafter(\n"
+                                  "    _exact(self, inputs), np.inf)\n")
     here = parentcheck.grad_digests(ROOT)
-    assert len(here) == 2 * len(parentcheck.GRAD_SHAPES)
+    forecasts = sorted(case for case in here if " forecast " in case)
+    grads = sorted(here.keys() - set(forecasts))
+    assert len(grads) == 2 * len(parentcheck.GRAD_SHAPES)
+    assert len(forecasts) == 2 * len(parentcheck.FORECAST_SHAPES)
     assert all(len(d) == 64 for d in here.values())
     assert parentcheck.compare_grads(here, parentcheck.grad_digests(ROOT))["differing"] == []
-    changed = parentcheck.compare_grads(here, parentcheck.grad_digests(tmp_path))
-    assert changed["differing"] == sorted(here)
+    for tree, differing in ((grads_moved, sorted(here)), (forecast_moved, forecasts)):
+        changed = parentcheck.compare_grads(here, parentcheck.grad_digests(tree))
+        assert changed["differing"] == differing, tree.name

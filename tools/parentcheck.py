@@ -24,10 +24,16 @@ at the repository root.
 of `backward_batch` for lstm and gru at (units, batch) = (32, 16), (128, 32)
 and (3, 1), window 60: parameters drawn from a seeded numpy generator, three
 Adam steps (learning rate 0.01) so the biases are non-zero, then one more
-batch; inputs hold exact zeros. A differing digest counts as a difference.
+batch; inputs hold exact zeros. It compares the bytes of `forecast` too: a
+model drawn and stepped the same way forecasts B seeded windows with exact
+zeros at (batch, units) = (251, 128), (1000, 16), (150, 32) and (1, 3), where
+the LSTM runs blocks of 1, 2, 6 and 60 steps. A differing digest counts as a
+difference.
 
---time also times `backward_batch` in-process, lstm and gru at (32, 16),
-(16, 32) and (128, 32): TIME_ROUNDS rounds, each a fresh interpreter per
+--time also times, in-process, `backward_batch` as `train` calls it (a fresh
+batch per call, `adam_step` between calls), lstm and gru at (32, 16),
+(16, 32) and (128, 32), and `forecast` of fresh windows at (batch, units) =
+(251, 128) and (1000, 16): TIME_ROUNDS rounds, each a fresh interpreter per
 tree, in alternating order, reporting each tree's median of per-call times;
 it prints the median and quartiles of those round medians and the rounds
 each tree won. Timings never count as a difference.
@@ -61,7 +67,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # `cli.main` through -c rather than `-m rnncast`, which older trees lack.
 MAIN = "import sys; from rnncast.cli import main; sys.exit(main(sys.argv[1:]))"
 GRAD_SHAPES = ((32, 16), (128, 32), (3, 1))
+FORECAST_SHAPES = ((251, 128), (1000, 16), (150, 32), (1, 3))  # (batch, units)
 TIME_SHAPES = ((32, 16), (16, 32), (128, 32))
+TIME_FORECAST_SHAPES = ((251, 128), (1000, 16))
 TIME_ROUNDS, TIME_CALLS = 9, 25
 # Both programs run in the tree under test. Trees before `ba7cacd` return the
 # loss alone and leave the gradients in `state.grad_tensors()`.
@@ -75,27 +83,41 @@ from rnncast.training import AdamState, adam_step
 def loss_and_grads(state, xs, ys):
     out = backward_batch(state, xs, ys)
     return out if isinstance(out, tuple) else (out, state.grad_tensors())
+
+def windows(rng, batch):
+    xs = rng.uniform(-1.0, 1.0, (batch, 60))
+    xs[rng.random((batch, 60)) < 0.05] = 0.0
+    return xs
 """
 GRADS_CODE = CHILD_PRELUDE + """
+def stepped(kind, units, batch):
+    # A drawn model after three Adam steps, and the generator that drew it.
+    rng = np.random.default_rng(units * 1000 + batch)
+    state = init_model(kind, units, 60, 20, Rng(0))
+    params, scale = state.tensors(), 1.0 / np.sqrt(units)
+    for name, shape in tensor_shapes(kind, units, 20).items():
+        params[name][...] = rng.uniform(-scale, scale, shape)
+    adam = AdamState(learning_rate=0.01)
+    for _ in range(3):
+        xs = windows(rng, batch)
+        _, grads = loss_and_grads(state, xs, rng.uniform(-1.0, 1.0, (batch, 20)))
+        adam_step(adam, params, {k: v.copy() for k, v in grads.items()})
+    return state, rng
+
 out = {}
 for kind in ("lstm", "gru"):
     for units, batch in SHAPES:
-        rng = np.random.default_rng(units * 1000 + batch)
-        state = init_model(kind, units, 60, 20, Rng(0))
-        params, scale = state.tensors(), 1.0 / np.sqrt(units)
-        for name, shape in tensor_shapes(kind, units, 20).items():
-            params[name][...] = rng.uniform(-scale, scale, shape)
-        adam = AdamState(learning_rate=0.01)
-        for step in range(4):
-            xs = rng.uniform(-1.0, 1.0, (batch, 60))
-            xs[rng.random((batch, 60)) < 0.05] = 0.0
-            loss, grads = loss_and_grads(state, xs, rng.uniform(-1.0, 1.0, (batch, 20)))
-            if step < 3:
-                adam_step(adam, params, {k: v.copy() for k, v in grads.items()})
+        state, rng = stepped(kind, units, batch)
+        xs = windows(rng, batch)
+        loss, grads = loss_and_grads(state, xs, rng.uniform(-1.0, 1.0, (batch, 20)))
         digest = hashlib.sha256(np.float64(loss).tobytes())
         for name in tensor_shapes(kind, units, 20):
             digest.update(np.ascontiguousarray(grads[name]).tobytes())
         out[f"{kind} U={units} B={batch}"] = digest.hexdigest()
+    for batch, units in FORECASTS:
+        state, rng = stepped(kind, units, batch)
+        digest = hashlib.sha256(state.forecast(windows(rng, batch)).tobytes())
+        out[f"{kind} forecast B={batch} U={units}"] = digest.hexdigest()
 print(json.dumps(out))
 """
 TIME_CODE = CHILD_PRELUDE + """
@@ -103,15 +125,24 @@ out = {}
 for kind in ("lstm", "gru"):
     for units, batch in SHAPES:
         rng = np.random.default_rng(units * 1000 + batch)
-        state = init_model(kind, units, 60, 20, Rng(units + batch))
-        xs, ys = rng.uniform(-1.0, 1.0, (batch, 60)), rng.uniform(-1.0, 1.0, (batch, 20))
-        loss_and_grads(state, xs, ys)  # first call: allocations and caches
+        state, adam = init_model(kind, units, 60, 20, Rng(units + batch)), AdamState()
         times = []
-        for _ in range(CALLS):
+        for _ in range(CALLS + 1):  # the first call makes the model's storage
+            xs, ys = windows(rng, batch), rng.uniform(-1.0, 1.0, (batch, 20))
             start = time.perf_counter()
-            loss_and_grads(state, xs, ys)
+            _, grads = loss_and_grads(state, xs, ys)
             times.append(time.perf_counter() - start)
-        out[f"{kind} U={units} B={batch}"] = statistics.median(times) * 1e3
+            adam_step(adam, state.tensors(), {k: v.copy() for k, v in grads.items()})
+        out[f"{kind} U={units} B={batch}"] = statistics.median(times[1:]) * 1e3
+    for batch, units in FORECASTS:
+        rng = np.random.default_rng(units * 1000 + batch)
+        state, times = init_model(kind, units, 60, 20, Rng(units + batch)), []
+        for _ in range(CALLS + 1):
+            xs = windows(rng, batch)
+            start = time.perf_counter()
+            state.forecast(xs)
+            times.append(time.perf_counter() - start)
+        out[f"{kind} forecast B={batch} U={units}"] = statistics.median(times[1:]) * 1e3
 print(json.dumps(out))
 """
 
@@ -152,7 +183,8 @@ def run_child(tree: Path, code: str) -> dict:
 
 def grad_digests(tree: Path) -> dict[str, str]:
     """Case -> sha256 of the loss and gradient bytes (see --grads)."""
-    return run_child(tree, GRADS_CODE.replace("SHAPES", repr(GRAD_SHAPES)))
+    code = GRADS_CODE.replace("FORECASTS", repr(FORECAST_SHAPES))
+    return run_child(tree, code.replace("SHAPES", repr(GRAD_SHAPES)))
 
 
 def compare_grads(parent: dict, change: dict) -> dict:
@@ -165,7 +197,8 @@ def compare_grads(parent: dict, change: dict) -> dict:
 def time_trees(parent: Path, change: Path) -> dict:
     """Per case: each tree's median and quartiles of its round medians (ms)
     and the rounds it won, from TIME_ROUNDS alternating rounds (see --time)."""
-    code = TIME_CODE.replace("SHAPES", repr(TIME_SHAPES)).replace("CALLS", str(TIME_CALLS))
+    code = TIME_CODE.replace("FORECASTS", repr(TIME_FORECAST_SHAPES))
+    code = code.replace("SHAPES", repr(TIME_SHAPES)).replace("CALLS", str(TIME_CALLS))
     trees = {"parent": parent, "change": change}
     medians = {"parent": [], "change": []}
     for r in range(TIME_ROUNDS):
@@ -239,9 +272,11 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="git revision or directory of the parent tree")
     parser.add_argument("--label", help="write PARENTCHECK_<label>.json at the repo root")
     parser.add_argument("--grads", action="store_true",
-                        help="also compare loss and gradient bytes of backward_batch")
+                        help="also compare the loss and gradient bytes of backward_batch "
+                             "and the bytes of forecast")
     parser.add_argument("--time", action="store_true",
-                        help="also time backward_batch on both trees, interleaved")
+                        help="also time backward_batch and forecast on both trees, "
+                             "interleaved")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="parentcheck-") as tmp:
@@ -270,7 +305,8 @@ def main(argv=None) -> int:
         print(f"grads: {len(grads['parent'])} cases, {len(grads['differing'])} differ"
               + "".join(f"\n  {k}" for k in grads["differing"]))
     if timing is not None:
-        print(f"backward_batch, ms: median [quartiles] of {timing['rounds']} round medians")
+        print(f"backward_batch and forecast, ms: median [quartiles] of {timing['rounds']} "
+              "round medians")
         for case, r in timing["cases"].items():
             print(f"  {case}: parent {r['parent']['median']:.3f} "
                   f"[{r['parent']['q1']:.3f}, {r['parent']['q3']:.3f}], change "
