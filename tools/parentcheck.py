@@ -182,7 +182,8 @@ def run_child(tree: Path, code: str) -> dict:
 
 
 def grad_digests(tree: Path) -> dict[str, str]:
-    """Case -> sha256 of the loss and gradient bytes (see --grads)."""
+    """Case -> sha256 of the loss and gradient bytes, or of the forecast
+    bytes (see --grads)."""
     code = GRADS_CODE.replace("FORECASTS", repr(FORECAST_SHAPES))
     return run_child(tree, code.replace("SHAPES", repr(GRAD_SHAPES)))
 
